@@ -1,5 +1,5 @@
 (* Throughput and recovery overhead of the TCP executor vs network-fault
-   rate (DESIGN.md §16): kmeans, pagerank, and TPC-H Q1 on TCP-attached
+   rate (DESIGN.md §14.2): kmeans, pagerank, and TPC-H Q1 on TCP-attached
    workers at 0%, 1%, and 5% per-frame fault rates (each rate applied
    simultaneously to crash, partition, sever, and corrupt probabilities,
    so "5%" is a genuinely hostile network).

@@ -20,18 +20,14 @@
                 "restores":...,"replays":...,"checkpoints":...},
       "decisions":[{"at_loop":...,"chosen":"restore",...},...]}
 
-   A second, real-process leg (--proc-programs N) runs the same program
-   stream on the forked-worker executor (DESIGN.md §14) under process
-   murder — real SIGKILLs, SIGSTOP straggling, severed pipes — and
-   asserts the murdered run bit-identical to the healthy process run
-   (and the healthy run equal to the interpreter, within float-merge
-   tolerance for reassociated float reductions).
-
-   A third, TCP leg (--net-programs N) runs the stream on the
-   TCP-attached-worker executor (DESIGN.md §16) under network chaos —
-   real crashes plus blackholed links, mid-frame severs, CRC-failing
-   frame corruption, and delivery delays on live loopback sockets —
-   and asserts the faulted run bit-identical to the healthy TCP run.
+   Two real-executor legs (DESIGN.md §14) run their own program streams
+   on one supervisor: --proc-programs N on the pipe link under process
+   murder (SIGKILLs, SIGSTOP straggling, severed pipes), --net-programs
+   N on the TCP link under network chaos (crashes plus blackholed
+   links, mid-frame severs, CRC-failing corruption, delays).  Each
+   asserts the faulted run bit-identical to the healthy run, and the
+   healthy run equal to the interpreter (1e-6 for reassociated float
+   reductions).
 
    --deadline-s S arms a hard wall-clock watchdog (SIGALRM): if the
    whole soak exceeds S seconds it exits 124, so a wedged run can never
@@ -200,12 +196,12 @@ let run ?(programs = default_programs) ?(seed = default_seed)
   else 0
 
 (* ------------------------------------------------------------------ *)
-(* Real-process leg (DESIGN.md §14)                                    *)
+(* Real-executor legs (DESIGN.md §14)                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-program murder regime, drawn from a stream independent of the
-   simulated leg's: every worker count and fault probability reproduces
-   from (seed, program number) alone. *)
+(* Per-program murder regime for the pipe link, drawn from a stream
+   independent of the simulated leg's: every worker count and fault
+   probability reproduces from (seed, program number) alone. *)
 let proc_chaos ~(seed : int) ~(program_no : int) =
   let rng = Dmll_util.Prng.create ((seed + 77) lxor (program_no * 0x2545F491)) in
   let f bound = Dmll_util.Prng.float rng bound in
@@ -224,121 +220,12 @@ let proc_chaos ~(seed : int) ~(program_no : int) =
   in
   (workers, spec)
 
-let proc_config ~workers ?faults () =
-  { R.Proc_cluster.default_config with
-    R.Proc_cluster.workers;
-    faults;
-    task_deadline_s = 2.0;
-    heartbeat_s = 0.05;
-  }
-
-(* Run [programs] random programs on real forked workers, healthy and
-   murdered, asserting the murdered value bit-identical to the healthy
-   one and the healthy one equal to the interpreter (1e-6 for
-   reassociated float merges).  Prints a JSON summary line; returns the
-   exit code. *)
-let run_proc ~(programs : int) ~(seed : int) ~(verbose : bool) () : int =
-  let rand = Random.State.make [| seed lxor 0x5DEECE66 |] in
-  let progs = QCheck.Gen.generate ~n:programs ~rand gen_soak_program in
-  let checked = ref 0 and skipped = ref 0 and mismatches = ref 0 in
-  let killed = ref 0 and pipe_cuts = ref 0 and stopped = ref 0 in
-  let deadline_kills = ref 0 and heartbeat_kills = ref 0 in
-  let respawned = ref 0 and recovered = ref 0 and master = ref 0 in
-  List.iteri
-    (fun pno program ->
-      let n = 256 + ((pno * 53) mod 512) in
-      let inputs =
-        [ ("xs", V.of_float_array (Array.init n (fun i -> float_of_int (i mod 23))))
-        ]
-      in
-      match Interp.run ~inputs program with
-      | exception Interp.Runtime_error _ -> incr skipped
-      | expected -> (
-          let workers, spec = proc_chaos ~seed ~program_no:pno in
-          let healthy =
-            R.Proc_cluster.run ~config:(proc_config ~workers ()) ~inputs program
-          in
-          incr checked;
-          if
-            not
-              (V.equal healthy.R.Proc_cluster.value expected
-              || V.approx_equal ~eps:1e-6 expected healthy.R.Proc_cluster.value)
-          then begin
-            incr mismatches;
-            Printf.eprintf
-              "PROC MISMATCH (healthy vs interp) program %d (seed %d):\n\
-               %s\nexpected %s\ngot      %s\n"
-              pno seed
-              (Dmll_ir.Pp.to_string program)
-              (V.to_string expected)
-              (V.to_string healthy.R.Proc_cluster.value)
-          end;
-          let injector = R.Fault.create spec in
-          match
-            R.Proc_cluster.run
-              ~config:(proc_config ~workers ~faults:injector ())
-              ~inputs program
-          with
-          | exception e ->
-              incr mismatches;
-              Printf.eprintf "PROC CRASH program %d (seed %d): %s\n" pno seed
-                (Printexc.to_string e)
-          | murdered ->
-              (* the headline assertion: murdering workers never moves
-                 the value — bit-identical, not approximately equal *)
-              if
-                not
-                  (V.equal murdered.R.Proc_cluster.value
-                     healthy.R.Proc_cluster.value)
-              then begin
-                incr mismatches;
-                Printf.eprintf
-                  "PROC MISMATCH (murdered vs healthy) program %d (seed %d):\n\
-                   %s\nhealthy  %s\nmurdered %s\n"
-                  pno seed
-                  (Dmll_ir.Pp.to_string program)
-                  (V.to_string healthy.R.Proc_cluster.value)
-                  (V.to_string murdered.R.Proc_cluster.value)
-              end;
-              let s = murdered.R.Proc_cluster.stats in
-              killed := !killed + s.R.Proc_cluster.killed;
-              pipe_cuts := !pipe_cuts + s.R.Proc_cluster.pipe_cuts;
-              stopped := !stopped + s.R.Proc_cluster.stopped;
-              deadline_kills := !deadline_kills + s.R.Proc_cluster.deadline_kills;
-              heartbeat_kills :=
-                !heartbeat_kills + s.R.Proc_cluster.heartbeat_kills;
-              respawned := !respawned + s.R.Proc_cluster.respawned;
-              recovered := !recovered + s.R.Proc_cluster.recovered_chunks;
-              master := !master + s.R.Proc_cluster.master_chunks;
-              if verbose then
-                Printf.printf "proc program %3d: workers=%d %s\n%!" pno workers
-                  (R.Proc_cluster.stats_to_string s)))
-    progs;
-  Printf.printf
-    "{\"proc_programs\": %d, \"checked\": %d, \"skipped\": %d, \
-     \"mismatches\": %d, \"seed\": %d, \"events\": {\"killed\": %d, \
-     \"pipe_cuts\": %d, \"stopped\": %d, \"deadline_kills\": %d, \
-     \"heartbeat_kills\": %d, \"respawned\": %d, \"recovered_chunks\": %d, \
-     \"master_chunks\": %d}}\n"
-    programs !checked !skipped !mismatches seed !killed !pipe_cuts !stopped
-    !deadline_kills !heartbeat_kills !respawned !recovered !master;
-  if !mismatches > 0 then 1
-  else if programs > 0 && !killed + !stopped + !pipe_cuts = 0 then begin
-    Printf.eprintf "proc soak: chaos regime injected no process murder\n";
-    1
-  end
-  else 0
-
-(* ------------------------------------------------------------------ *)
-(* TCP leg (DESIGN.md §16)                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Per-program network-chaos regime: crashes and stragglers as in the
-   proc leg, plus the link fault classes — blackholed partitions,
-   mid-frame severs, CRC-failing corruption, delivery delays — drawn
-   from a stream independent of both other legs.  [heartbeat_ms] keys
-   the injected partition duration; keep it short so a blackholed link
-   costs milliseconds of soak wall-clock, not seconds. *)
+(* Per-program network-chaos regime for the TCP link: crashes and
+   stragglers as in the proc leg, plus the link fault classes —
+   blackholed partitions, mid-frame severs, CRC-failing corruption,
+   delivery delays — drawn from a stream independent of both other legs.
+   [heartbeat_ms] keys the injected partition duration; keep it short so
+   a blackholed link costs milliseconds of soak wall-clock, not seconds. *)
 let net_chaos ~(seed : int) ~(program_no : int) =
   let rng = Dmll_util.Prng.create ((seed + 131) lxor (program_no * 0x1B873593)) in
   let f bound = Dmll_util.Prng.float rng bound in
@@ -363,34 +250,85 @@ let net_chaos ~(seed : int) ~(program_no : int) =
   in
   (workers, spec)
 
-let net_config ~workers ?faults () =
-  { R.Net_cluster.default_config with
-    R.Net_cluster.workers;
-    faults;
-    task_deadline_s = 0.6;
-    heartbeat_s = 0.04;
-    reconnect_grace_s = 0.1;
-    max_respawns = 64;
+(* One real-executor leg: its name, its program stream (generator salt
+   and input-size step), its chaos regime, how to run it, and the guard
+   that fails the leg when the chaos injected nothing. *)
+type leg = {
+  name : string;
+  salt : int;
+  size_step : int;
+  chaos : seed:int -> program_no:int -> int * M.fault_model;
+  execute :
+    workers:int -> ?faults:R.Fault.t -> (string * V.t) list -> Exp.exp ->
+    R.Supervisor.result;
+  injected : R.Fault.t -> R.Supervisor.stats -> int;
+  silent : string;  (** the error when [injected] totals 0 *)
+}
+
+let proc_leg =
+  { name = "proc";
+    salt = 0x5DEECE66;
+    size_step = 53;
+    chaos = proc_chaos;
+    execute =
+      (fun ~workers ?faults inputs program ->
+        R.Proc_cluster.run ~inputs program
+          ~config:
+            { R.Proc_cluster.default_config with
+              workers;
+              faults;
+              task_deadline_s = 2.0;
+              heartbeat_s = 0.05;
+            });
+    injected = (fun _ s -> s.R.Supervisor.killed + s.stopped + s.link_cuts);
+    silent = "chaos regime injected no process murder";
   }
 
-(* Run [programs] random programs on the TCP executor, healthy and under
-   network chaos, asserting the chaos value bit-identical to the healthy
-   one and the healthy one equal to the interpreter (1e-6 for
-   reassociated float merges).  Hard-fails if the whole sweep delivered
-   no link faults — a silent injector would turn this gate into a no-op.
-   Prints a JSON summary line; returns the exit code. *)
-let run_net ~(programs : int) ~(seed : int) ~(verbose : bool) () : int =
-  let rand = Random.State.make [| seed lxor 0x2E1B2138 |] in
+let net_leg =
+  { name = "net";
+    salt = 0x2E1B2138;
+    size_step = 41;
+    chaos = net_chaos;
+    execute =
+      (fun ~workers ?faults inputs program ->
+        R.Net_cluster.run ~inputs program
+          ~config:
+            { R.Net_cluster.default_config with
+              workers;
+              faults;
+              task_deadline_s = 0.6;
+              heartbeat_s = 0.04;
+              reconnect_grace_s = 0.1;
+              max_respawns = 64;
+            });
+    injected = (fun f _ -> R.Fault.link_fault_count f);
+    silent = "chaos regime delivered no link faults";
+  }
+
+(* Run [programs] random programs on a real executor, healthy and under
+   chaos, asserting the chaos value bit-identical to the healthy one and
+   the healthy one equal to the interpreter (1e-6 for reassociated float
+   merges).  Hard-fails if the leg's chaos injected nothing — a silent
+   injector would turn the gate into a no-op.  Prints a JSON summary
+   line; returns the exit code. *)
+let run_leg (leg : leg) ~(programs : int) ~(seed : int) ~(verbose : bool) () :
+    int =
+  let rand = Random.State.make [| seed lxor leg.salt |] in
   let progs = QCheck.Gen.generate ~n:programs ~rand gen_soak_program in
   let checked = ref 0 and skipped = ref 0 and mismatches = ref 0 in
-  let link_faults = ref 0 and disconnects = ref 0 and reconnects = ref 0 in
-  let grace_expired = ref 0 and deadline_kills = ref 0 in
-  let heartbeat_kills = ref 0 and frame_resends = ref 0 in
-  let replans = ref 0 and respawned = ref 0 in
-  let recovered = ref 0 and master = ref 0 in
+  let injected = ref 0 and link_faults = ref 0 in
+  let totals = ref (R.Supervisor.counters (R.Supervisor.fresh_stats ())) in
+  let tag = String.uppercase_ascii leg.name in
+  let mismatch what pno program (a, va) (b, vb) =
+    incr mismatches;
+    Printf.eprintf "%s MISMATCH (%s) program %d (seed %d):\n%s\n%-8s %s\n%-8s %s\n"
+      tag what pno seed
+      (Dmll_ir.Pp.to_string program)
+      a (V.to_string va) b (V.to_string vb)
+  in
   List.iteri
     (fun pno program ->
-      let n = 256 + ((pno * 41) mod 512) in
+      let n = 256 + ((pno * leg.size_step) mod 512) in
       let inputs =
         [ ("xs", V.of_float_array (Array.init n (fun i -> float_of_int (i mod 23))))
         ]
@@ -398,82 +336,46 @@ let run_net ~(programs : int) ~(seed : int) ~(verbose : bool) () : int =
       match Interp.run ~inputs program with
       | exception Interp.Runtime_error _ -> incr skipped
       | expected -> (
-          let workers, spec = net_chaos ~seed ~program_no:pno in
-          let healthy =
-            R.Net_cluster.run ~config:(net_config ~workers ()) ~inputs program
-          in
+          let workers, spec = leg.chaos ~seed ~program_no:pno in
+          let healthy = (leg.execute ~workers inputs program).R.Supervisor.value in
           incr checked;
-          if
-            not
-              (V.equal healthy.R.Net_cluster.value expected
-              || V.approx_equal ~eps:1e-6 expected healthy.R.Net_cluster.value)
-          then begin
-            incr mismatches;
-            Printf.eprintf
-              "NET MISMATCH (healthy vs interp) program %d (seed %d):\n\
-               %s\nexpected %s\ngot      %s\n"
-              pno seed
-              (Dmll_ir.Pp.to_string program)
-              (V.to_string expected)
-              (V.to_string healthy.R.Net_cluster.value)
-          end;
+          if not (V.equal healthy expected || V.approx_equal ~eps:1e-6 expected healthy)
+          then
+            mismatch "healthy vs interp" pno program ("expected", expected)
+              ("got", healthy);
           let injector = R.Fault.create spec in
-          match
-            R.Net_cluster.run
-              ~config:(net_config ~workers ~faults:injector ())
-              ~inputs program
-          with
+          match leg.execute ~workers ~faults:injector inputs program with
           | exception e ->
               incr mismatches;
-              Printf.eprintf "NET CRASH program %d (seed %d): %s\n" pno seed
+              Printf.eprintf "%s CRASH program %d (seed %d): %s\n" tag pno seed
                 (Printexc.to_string e)
           | faulted ->
-              (* the headline assertion: network faults never move the
-                 value — bit-identical, not approximately equal *)
-              if
-                not
-                  (V.equal faulted.R.Net_cluster.value
-                     healthy.R.Net_cluster.value)
-              then begin
-                incr mismatches;
-                Printf.eprintf
-                  "NET MISMATCH (faulted vs healthy) program %d (seed %d):\n\
-                   %s\nhealthy %s\nfaulted %s\n"
-                  pno seed
-                  (Dmll_ir.Pp.to_string program)
-                  (V.to_string healthy.R.Net_cluster.value)
-                  (V.to_string faulted.R.Net_cluster.value)
-              end;
+              (* the headline assertion: chaos never moves the value —
+                 bit-identical, not approximately equal *)
+              if not (V.equal faulted.R.Supervisor.value healthy) then
+                mismatch "faulted vs healthy" pno program ("healthy", healthy)
+                  ("faulted", faulted.R.Supervisor.value);
+              let s = faulted.R.Supervisor.stats in
+              injected := !injected + leg.injected injector s;
               link_faults := !link_faults + R.Fault.link_fault_count injector;
-              let s = faulted.R.Net_cluster.stats in
-              disconnects := !disconnects + s.R.Net_cluster.disconnects;
-              reconnects := !reconnects + s.R.Net_cluster.reconnects;
-              grace_expired := !grace_expired + s.R.Net_cluster.grace_expired;
-              deadline_kills := !deadline_kills + s.R.Net_cluster.deadline_kills;
-              heartbeat_kills :=
-                !heartbeat_kills + s.R.Net_cluster.heartbeat_kills;
-              frame_resends := !frame_resends + s.R.Net_cluster.frame_resends;
-              replans := !replans + s.R.Net_cluster.replans;
-              respawned := !respawned + s.R.Net_cluster.respawned;
-              recovered := !recovered + s.R.Net_cluster.recovered_chunks;
-              master := !master + s.R.Net_cluster.master_chunks;
+              totals :=
+                List.map2 (fun (k, a) (_, b) -> (k, a + b)) !totals
+                  (R.Supervisor.counters s);
               if verbose then
-                Printf.printf "net program %3d: workers=%d %s\n%!" pno workers
-                  (R.Net_cluster.stats_to_string s)))
+                Printf.printf "%s program %3d: workers=%d %s\n%!" leg.name pno
+                  workers
+                  (R.Supervisor.stats_to_string s)))
     progs;
   Printf.printf
-    "{\"net_programs\": %d, \"checked\": %d, \"skipped\": %d, \
-     \"mismatches\": %d, \"seed\": %d, \"events\": {\"link_faults\": %d, \
-     \"disconnects\": %d, \"reconnects\": %d, \"grace_expired\": %d, \
-     \"deadline_kills\": %d, \"heartbeat_kills\": %d, \"frame_resends\": %d, \
-     \"replans\": %d, \"respawned\": %d, \"recovered_chunks\": %d, \
-     \"master_chunks\": %d}}\n"
-    programs !checked !skipped !mismatches seed !link_faults !disconnects
-    !reconnects !grace_expired !deadline_kills !heartbeat_kills !frame_resends
-    !replans !respawned !recovered !master;
+    "{\"%s_programs\": %d, \"checked\": %d, \"skipped\": %d, \
+     \"mismatches\": %d, \"seed\": %d, \"events\": {\"link_faults\": %d, %s}}\n"
+    leg.name programs !checked !skipped !mismatches seed
+    !link_faults
+    (String.concat ", "
+       (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %d" k v) !totals));
   if !mismatches > 0 then 1
-  else if programs > 0 && !link_faults = 0 then begin
-    Printf.eprintf "net soak: chaos regime delivered no link faults\n";
+  else if programs > 0 && !injected = 0 then begin
+    Printf.eprintf "%s soak: %s\n" leg.name leg.silent;
     1
   end
   else 0
@@ -535,12 +437,12 @@ let () =
   in
   let proc_code =
     if !proc_programs > 0 then
-      run_proc ~programs:!proc_programs ~seed:!seed ~verbose:!verbose ()
+      run_leg proc_leg ~programs:!proc_programs ~seed:!seed ~verbose:!verbose ()
     else 0
   in
   let net_code =
     if !net_programs > 0 then
-      run_net ~programs:!net_programs ~seed:!seed ~verbose:!verbose ()
+      run_leg net_leg ~programs:!net_programs ~seed:!seed ~verbose:!verbose ()
     else 0
   in
   exit (max sim_code (max proc_code net_code))

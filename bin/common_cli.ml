@@ -81,7 +81,7 @@ let nodes_arg =
     & info [ "nodes" ] ~docv:"N"
         ~doc:
           "Cluster size in nodes: sizes the cluster target's machine \
-           model, and the comm-volume predictions of --explain-comm \
+           model, and the comm-volume predictions of $(b,--explain comm) \
            (default: the paper's 20-node EC2 preset).")
 
 let faults_arg =
@@ -224,7 +224,7 @@ let target_of ?nodes ?procs ?workers ?listen ?token
       | Some _ -> token
       | None when not spawn_local ->
           (* multi-host mode needs a token the user can hand to workers *)
-          Some (Printf.sprintf "dmll-%d" (Unix.getpid ()))
+          Some (Dmll_runtime.Net_cluster.gen_token ())
       | None -> None
     in
     let on_listen =

@@ -5,7 +5,7 @@
    1/4/5): source IR, optimized IR, partitioning layouts and stencils,
    applied rules, and (optionally) generated C++/CUDA/Scala.
 
-   --explain-comm adds the static communication-volume analysis
+   --explain comm adds the static communication-volume analysis
    (DESIGN.md §10): per-loop comm plans, per-collection totals, and the
    cost-guided rewrite decisions with every rejected alternative. *)
 
@@ -30,7 +30,7 @@ let apps : (string * (unit -> Dmll_ir.Exp.exp) * (string * int) list) list =
     ( "kmeans_iter",
       (* three unrolled Lloyd iterations: each intermediate centroid set
          dies as soon as the next one is computed — the early-free
-         showcase (--explain-mem shows the peak with and without it) *)
+         showcase (--explain mem shows the peak with and without it) *)
       (fun () ->
         Dmll_apps.Kmeans.program_iterated ~rows:1000 ~cols:16 ~k:8 ~iters:4 ()),
       [ ("matrix", 16000); ("clusters", 128) ] );
@@ -124,25 +124,6 @@ let explain_arg =
            needed).  With APP = $(b,all), explains every registered \
            application.  Composes with $(b,--json) and $(b,--nodes).")
 
-(* Historical spellings, kept as deprecated aliases of --explain. *)
-let explain_comm =
-  Arg.(
-    value & flag
-    & info [ "explain-comm" ] ~deprecated:"use --explain comm"
-        ~doc:"Alias of $(b,--explain comm).")
-
-let explain_plan =
-  Arg.(
-    value & flag
-    & info [ "explain-plan" ] ~deprecated:"use --explain plan"
-        ~doc:"Alias of $(b,--explain plan).")
-
-let explain_mem =
-  Arg.(
-    value & flag
-    & info [ "explain-mem" ] ~deprecated:"use --explain mem"
-        ~doc:"Alias of $(b,--explain mem).")
-
 let json =
   Arg.(
     value & flag
@@ -194,7 +175,7 @@ let run_lint cfg app =
   in
   if any_error then exit 1
 
-(* ---------------- --explain-comm ---------------- *)
+(* ---------------- --explain comm ---------------- *)
 
 (* Run the cost-guided partitioning analysis on the generically optimized
    program — crucially WITHOUT the CPU nested rules, so the Figure-3
@@ -240,7 +221,7 @@ let run_explain ~json ~nodes app =
   let machine = Common_cli.cluster_machine ?nodes () in
   List.iter (explain_one ~json ~machine) (select_apps ~flag:true app)
 
-(* ---------------- --explain-plan ---------------- *)
+(* ---------------- --explain plan ---------------- *)
 
 (* Generic optimization with horizontal fusion deferred, so the plan
    analysis owns the fusion decision jointly with the Figure-3 rewrites
@@ -267,9 +248,9 @@ let run_explain_plan ~json ~nodes app =
   let machine = Common_cli.cluster_machine ?nodes () in
   List.iter (explain_plan_one ~json ~machine) (select_apps ~flag:true app)
 
-(* ---------------- --explain-mem ---------------- *)
+(* ---------------- --explain mem ---------------- *)
 
-(* Same compilation path as --explain-comm (generic optimize without the
+(* Same compilation path as --explain comm (generic optimize without the
    CPU nested rules, then the cost-guided partitioning analysis), plus
    the early-free pass — the summary shows the peak both with and
    without it, so the liveness payoff is visible per app. *)
@@ -321,16 +302,7 @@ let run_explain_backends ~json =
     print_string (Dmll_backend.Registry.describe_table ())
   end
 
-let main app show_src emit gpu lint explain explain_comm explain_plan
-    explain_mem json nodes debug trace profile =
-  let explain =
-    match explain with
-    | Some _ -> explain
-    | None when explain_comm -> Some `Comm
-    | None when explain_plan -> Some `Plan
-    | None when explain_mem -> Some `Mem
-    | None -> None
-  in
+let main app show_src emit gpu lint explain json nodes debug trace profile =
   let require_app () =
     match app with
     | Some a -> a
@@ -405,7 +377,7 @@ let cmd =
     (Cmd.info "dmllc" ~doc)
     Term.(
       const main $ app_arg $ show_source $ show_codegen $ gpu $ lint
-      $ explain_arg $ explain_comm $ explain_plan $ explain_mem $ json
+      $ explain_arg $ json
       $ Common_cli.nodes_arg $ Common_cli.debug_arg $ Common_cli.trace_arg
       $ Common_cli.profile_arg)
 

@@ -260,7 +260,7 @@ let solve ?(node_budget = default_node_budget) (p : problem) : solution option =
   | _ -> None
 
 (** The solution's solver provenance, for decision records and
-    [--explain-plan]: budget-clean optima are ["ilp"], budget-tripped
+    [--explain plan]: budget-clean optima are ["ilp"], budget-tripped
     incumbents ["ilp-timeout"]. *)
 let provenance (s : solution) : string =
   if s.stats.timed_out then "ilp-timeout" else "ilp"

@@ -366,7 +366,7 @@ let analyze ?tracer ?(transforms = Dmll_opt.Rules_nested.cpu_rules)
 (** All of a report's warnings as structured diagnostics. *)
 let diags (r : report) : Diag.t list = List.map warning_to_diag r.warnings
 
-(** The decision log in the machine-readable schema [dmllc --explain-comm
+(** The decision log in the machine-readable schema [dmllc --explain comm
     --json] emits (field names/types are golden-tested — downstream
     tooling relies on them). *)
 let decisions_to_json (ds : decision list) : string =
@@ -381,7 +381,7 @@ let decisions_to_json (ds : decision list) : string =
   in
   "[" ^ String.concat "," (List.map one ds) ^ "]"
 
-(** One application's complete [--explain-comm --json] object. *)
+(** One application's complete [--explain comm --json] object. *)
 let explain_to_json ~(app : string) ~(decisions : decision list)
     (summary : Comm.summary) : string =
   Printf.sprintf "{\"app\":\"%s\",\"decisions\":%s,\"comm\":%s}"

@@ -499,7 +499,7 @@ let materialize (c : rewrite_config) (fs : fusion_candidate list)
 (** Run the global plan selection on a generically-optimized program
     (horizontal fusion deferred).  Returns a {!Partition.report} whose
     [decisions] carry solver provenance, plus the full {!explain}
-    record behind [dmllc --explain-plan].
+    record behind [dmllc --explain plan].
 
     The greedy baseline is computed end-to-end (pipeline fusion with the
     threaded comm veto, then {!Partition.analyze}); the ILP plan must
@@ -712,7 +712,7 @@ let fusion_missed_diags ?input_lens ?(machine = M.ec2_cluster) (e : exp) :
     (List.filter (fun (a, b) -> fusible a b) (spine_pairs e))
 
 (* ------------------------------------------------------------------ *)
-(* Rendering ([dmllc --explain-plan])                                  *)
+(* Rendering ([dmllc --explain plan])                                  *)
 (* ------------------------------------------------------------------ *)
 
 let str_list_json (ss : string list) : string =
@@ -750,7 +750,7 @@ let stats_to_json (st : Ilp.stats) : string =
     st.Ilp.vars st.Ilp.constraints st.Ilp.explored st.Ilp.node_budget
     st.Ilp.timed_out st.Ilp.root_bound
 
-(** One application's complete [--explain-plan --json] object (schema is
+(** One application's complete [--explain plan --json] object (schema is
     golden-tested — downstream tooling relies on the field names). *)
 let explain_to_json ~(app : string) (x : explain) : string =
   Printf.sprintf

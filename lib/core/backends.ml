@@ -59,6 +59,16 @@ let of_sim ~(metrics : Metrics.t) (r : Runtime.Sim_common.result) :
     metrics;
   }
 
+(* Both real-process executors return the supervisor's result. *)
+let of_supervised ~traffic (r : Runtime.Supervisor.result) : B.exec_result =
+  { B.value = r.Runtime.Supervisor.value;
+    seconds = r.seconds;
+    wall_clock = true;
+    breakdown = r.breakdown;
+    traffic;
+    metrics = r.metrics;
+  }
+
 let identity_lower e = (e, [])
 
 (* ------------------------------------------------------------------ *)
@@ -272,20 +282,14 @@ module Proc_backend : B.S = struct
   let execute p (ctx : B.ctx) e =
     match p with
     | Proc_p config ->
-        let r = Runtime.Proc_cluster.run ~config ~inputs:ctx.B.inputs e in
-        { B.value = r.Runtime.Proc_cluster.value;
-          seconds = r.Runtime.Proc_cluster.seconds;
-          wall_clock = true;
-          breakdown = r.Runtime.Proc_cluster.breakdown;
-          traffic = [];
-          metrics = r.Runtime.Proc_cluster.metrics;
-        }
+        of_supervised ~traffic:[]
+          (Runtime.Proc_cluster.run ~config ~inputs:ctx.B.inputs e)
     | _ -> B.wrong_payload id
 end
 
 module Net_backend : B.S = struct
   let id = "net-cluster"
-  let describe = "TCP-attached worker processes, local or multi-host (§16)"
+  let describe = "TCP-attached worker processes, local or multi-host (§14.2)"
 
   let capabilities =
     { B.wall_clock = true;
@@ -308,16 +312,11 @@ module Net_backend : B.S = struct
     match p with
     | Net_p config ->
         let r = Runtime.Net_cluster.run ~config ~inputs:ctx.B.inputs e in
-        { B.value = r.Runtime.Net_cluster.value;
-          seconds = r.Runtime.Net_cluster.seconds;
-          wall_clock = true;
-          breakdown = r.Runtime.Net_cluster.breakdown;
-          traffic =
-            Metrics.byte_counters r.Runtime.Net_cluster.metrics
+        of_supervised r
+          ~traffic:
+            (Metrics.byte_counters r.Runtime.Net_cluster.metrics
             |> List.filter (fun (k, _) ->
-                   String.length k >= 4 && String.sub k 0 4 = "net_");
-          metrics = r.Runtime.Net_cluster.metrics;
-        }
+                   String.length k >= 4 && String.sub k 0 4 = "net_"))
     | _ -> B.wrong_payload id
 end
 

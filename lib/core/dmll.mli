@@ -50,7 +50,7 @@ type target = Config.target =
       (** real forked worker processes (DESIGN.md §14) *)
   | Net_cluster of Dmll_runtime.Net_cluster.config
       (** TCP-attached worker processes, local or multi-host
-          (DESIGN.md §16) *)
+          (DESIGN.md §14.2) *)
   | Native
       (** generated OCaml compiled by [ocamlopt]: in-process Dynlink JIT
           when available, child process otherwise, both behind the

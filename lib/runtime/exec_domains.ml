@@ -82,7 +82,7 @@ let merge_parts ~(env : Evalenv.env) ~(inputs : (string * V.t) list) (l : Exp.lo
         V.Vtup (Array.of_list per_gen)
 
 (* Evaluate one loop in parallel across [domains] chunks (healthy path). *)
-let run_loop ~(domains : int) ~(schedule : schedule)
+let run_loop_healthy ~(domains : int) ~(schedule : schedule)
     ~(inputs : (string * V.t) list) (env : Evalenv.env) (l : Exp.loop) : V.t =
   let n = Evalenv.eval_int ~inputs env l.Exp.size in
   let chunks = chunks_of ~domains ~schedule n in
@@ -211,7 +211,7 @@ let default_domains () = Stdlib.min 8 (Domain.recommended_domain_count ())
 (* One spine loop, healthy or fault-injected. *)
 let eval_loop ~domains ~schedule ~faults ~inputs ~loop_no env l =
   match faults with
-  | None -> run_loop ~domains ~schedule ~inputs env l
+  | None -> run_loop_healthy ~domains ~schedule ~inputs env l
   | Some fault -> run_loop_faulty ~fault ~loop_no ~domains ~schedule ~inputs env l
 
 (* Snapshot every live spine binding plus the one just computed, with the

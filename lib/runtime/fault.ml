@@ -161,10 +161,11 @@ let worker_seed (s : spec) ~(worker : int) : int =
     chunk of one multiloop to it.  Drawn once per (loop, chunk) — on the
     first dispatch only, never on recovery re-dispatches, so an injected
     murder cannot chase a chunk around the pool forever.  [Proc_kill]
-    with [close_pipe] severs the parent's pipe end instead of signalling
-    (the worker sees EOF/EPIPE and exits); otherwise it is a real
-    [SIGKILL].  [Proc_stop] SIGSTOPs the worker for [stop_s] seconds —
-    if the task deadline is shorter, the hung-worker path fires first. *)
+    with [close_pipe] severs the master's end of the worker's link
+    instead of signalling (a cut pipe is a lost worker; a TCP worker may
+    redial); otherwise it is a real [SIGKILL].  [Proc_stop] SIGSTOPs the
+    worker for [stop_s] seconds — if the task deadline is shorter, the
+    hung-worker path fires first. *)
 type proc_fate =
   | Proc_ok
   | Proc_kill of { permanent : bool; close_pipe : bool }
@@ -195,7 +196,7 @@ let proc_fate (t : t) ~(loop : int) ~(chunk : int) : proc_fate =
 (* ------------------------------------------------------------------ *)
 
 (** What the fault-injecting transport wrapper does to one outgoing
-    master→worker frame on the TCP executor ([Net_cluster]).  Drawn per
+    master→worker frame of either real-process link.  Drawn per
     (slot, frame number) using the {!worker_seed} slot-seed rule — the
     stream belongs to the {e slot}, so a reconnected or respawned link
     for slot [k] continues its predecessor's fate sequence and a seeded

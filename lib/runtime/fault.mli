@@ -62,7 +62,7 @@ val worker_seed : spec -> worker:int -> int
     dispatching one chunk to it — drawn once per (loop, chunk) on the
     first dispatch only, never on recovery re-dispatches.  [Proc_kill]
     either SIGKILLs the worker or (with [close_pipe]) severs the
-    parent's pipe end; [Proc_stop] SIGSTOPs it for [stop_s] seconds, and
+    master's end of its link; [Proc_stop] SIGSTOPs it for [stop_s] seconds, and
     a shorter task deadline turns that into a hung-worker kill. *)
 type proc_fate =
   | Proc_ok
@@ -72,7 +72,7 @@ type proc_fate =
 val proc_fate : t -> loop:int -> chunk:int -> proc_fate
 
 (** What the fault-injecting transport wrapper does to one outgoing
-    master→worker frame on the TCP executor (DESIGN.md §16).
+    master→worker frame of either real-process link (DESIGN.md §16).
     [Link_partition] blackholes the link (sends dropped, inbound frames
     discarded) for ~3 heartbeat intervals; [Link_sever] cuts the
     connection mid-frame; [Link_corrupt] flips a payload byte after the

@@ -1,8 +1,9 @@
 (** TCP-backed cluster executor: multi-host workers, network fault
-    injection, and self-healing membership (DESIGN.md §16).
+    injection, and self-healing membership (DESIGN.md §14).
 
-    Runs the same chunk-program contract as {!Proc_cluster} over real
-    TCP connections: workers — forked locally or attached from other
+    The TCP link of {!Supervisor}: the same supervision core as
+    {!Proc_cluster}, with metrics under the [net_] prefix, but over real
+    TCP connections.  Workers — forked locally or attached from other
     hosts by the [dmll_worker] binary ({!worker_main}) — dial the
     master, handshake with a protocol version and session token, and
     serve chunk programs over the shared length-prefixed CRC32
@@ -76,7 +77,8 @@ type config = {
       (** [HOST:PORT] to bind; [None] binds loopback on an ephemeral
           port *)
   token : string option;
-      (** session token required in every hello; [None] generates one *)
+      (** session token required in every hello; [None] generates one
+          with {!gen_token} *)
   spawn_local : bool;
       (** fork local worker processes that dial back in; [false] waits
           for external [dmll_worker] processes to attach *)
@@ -115,9 +117,11 @@ val default_config : config
     0.25 s heartbeat, 0.5 s reconnect grace, 8 respawns, 2 redials, no
     faults. *)
 
-(** {1 Run statistics} — all observed from the master. *)
+(** {1 Run statistics} — all observed from the master; the record both
+    links share ({!Proc_cluster.stats}), whose checkpoint counters stay 0
+    here. *)
 
-type stats = {
+type stats = Supervisor.stats = {
   mutable spawned : int;
   mutable respawned : int;
   mutable connects : int;  (** fresh sessions accepted *)
@@ -138,13 +142,15 @@ type stats = {
   mutable worker_retries : int;
   mutable pings : int;
   mutable pongs : int;
+  mutable checkpoints : int;
+  mutable restored_loops : int;
   mutable degraded : bool;
   mutable pids : int list;
 }
 
 val stats_to_string : stats -> string
 
-type result = {
+type result = Supervisor.result = {
   value : V.t;
   seconds : float;
   breakdown : (string * float) list;
@@ -176,3 +182,7 @@ val worker_main :
     process exit code: 0 orderly, 2 internal error, 4 never joined
     (exit code 3 — injected permanent crash — leaves via [Unix._exit]
     mid-task). *)
+
+val gen_token : unit -> string
+(** A fresh session token: 16 bytes from [/dev/urandom] as 32 hex
+    characters. *)

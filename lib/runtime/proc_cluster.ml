@@ -1,982 +1,7 @@
-(** Process-backed cluster executor with supervised workers
-    (DESIGN.md §14).
+(* The pipe-link façade over {!Supervisor} (DESIGN.md §14): forked
+   workers over socketpairs, metrics under the [proc_] prefix. *)
 
-    Every other fault-capable executor in this tree hurts a {e model}:
-    [Sim_cluster] nodes are structs, [Exec_domains] workers are OCaml
-    domains in the same address space.  This one forks real OS
-    processes.  Workers speak a length-prefixed [Marshal] protocol over
-    [Unix.socketpair]s — serialized chunk programs out, chunk values
-    back — and the parent is a supervisor: it detects dead workers by
-    pipe EOF, hung workers by task deadline, wedged-but-idle workers by
-    missed heartbeat pongs; it retries transient I/O errors with bounded
-    exponential backoff; it replans a casualty's chunks onto survivors
-    with {!Schedule.replan} (the same lineage property every simulated
-    recovery path uses: a multiloop chunk is recomputable from its range
-    and inputs alone); it respawns replacements within a budget and
-    degrades to fewer workers — ultimately to master-only inline
-    evaluation — when the budget runs out; and it guarantees child
-    reaping: every pid ever forked is SIGKILLed (idempotent) and
-    [waitpid]ed on the way out, even when the parent itself errors.
+include Supervisor
 
-    Determinism contract: the chunk plan is a pure function of the loop
-    size and the {e configured} worker count — never of the live set —
-    so a faulty run (murdered workers, replans, degradation) merges the
-    exact same chunk partials in the exact same order as a healthy run
-    and produces a bit-identical value.  Against the sequential
-    interpreter the value is bit-identical whenever the loop's merges
-    are exact (collects, int reduces, bucket merges) and
-    float-merge-identical (|Δ| within 1e-6 relative) for floating-point
-    reductions, whose chunk-order folds legally reassociate — the same
-    convention [Exec_domains] tests establish. *)
-
-open Dmll_ir
-module V = Dmll_interp.Value
-module M = Dmll_machine.Machine
-module Span = Dmll_obs.Span
-module Metrics = Dmll_obs.Metrics
-module Prng = Dmll_util.Prng
-
-(* ------------------------------------------------------------------ *)
-(* Configuration                                                       *)
-(* ------------------------------------------------------------------ *)
-
-type config = {
-  workers : int;  (** forked worker processes (and the fixed chunk fan-out) *)
-  faults : Fault.t option;
-      (** arms worker-side injected chunk faults {e and} parent-side real
-          process murder (SIGKILL / SIGSTOP / pipe close) *)
-  task_deadline_s : float;
-      (** a dispatched chunk unanswered for this long marks the worker
-          hung: SIGKILL + replan *)
-  heartbeat_s : float;
-      (** idle-worker ping cadence at loop boundaries; three missed
-          pongs declare the worker dead *)
-  max_respawns : int;  (** replacement-worker budget for the whole run *)
-  checkpoint_cadence : int;  (** snapshot every N spine loops; [<=0] off *)
-  checkpoint_dir : string option;
-      (** where crash-safe snapshot files go ({!Checkpoint.write_file}) *)
-  resume : bool;
-      (** restore spine bindings from the latest verified snapshot in
-          [checkpoint_dir] instead of recomputing them *)
-  obs : Span.t option;
-  metrics : Metrics.t option;
-  on_spawn : (slot:int -> pid:int -> unit) option;
-      (** test hook, called by the parent after every fork *)
-  on_task_sent : (slot:int -> chunk:int -> unit) option;
-      (** test hook, called right after a task frame is written to a
-          worker and before its first reply can arrive — the window the
-          heartbeat/deadline edge-case tests target *)
-}
-
-let default_config =
-  { workers = 2;
-    faults = None;
-    task_deadline_s = 5.0;
-    heartbeat_s = 0.25;
-    max_respawns = 8;
-    checkpoint_cadence = 0;
-    checkpoint_dir = None;
-    resume = false;
-    obs = None;
-    metrics = None;
-    on_spawn = None;
-    on_task_sent = None;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Run statistics                                                      *)
-(* ------------------------------------------------------------------ *)
-
-type stats = {
-  mutable spawned : int;  (** every fork, initial and replacement *)
-  mutable respawned : int;
-  mutable killed : int;  (** injected murders (SIGKILL or pipe cut) *)
-  mutable pipe_cuts : int;
-  mutable stopped : int;  (** injected SIGSTOP straggles *)
-  mutable deadline_kills : int;
-  mutable heartbeat_kills : int;
-  mutable io_retries : int;  (** transient I/O errors retried with backoff *)
-  mutable replans : int;
-  mutable recovered_chunks : int;  (** chunks redispatched after a death *)
-  mutable master_chunks : int;  (** degraded-mode chunks evaluated inline *)
-  mutable worker_retries : int;  (** worker-side transient-fault retries *)
-  mutable pings : int;
-  mutable pongs : int;
-  mutable checkpoints : int;
-  mutable restored_loops : int;
-  mutable degraded : bool;  (** ran short-handed after budget exhaustion *)
-  mutable pids : int list;  (** every child pid ever forked (for tests) *)
-}
-
-let fresh_stats () =
-  { spawned = 0; respawned = 0; killed = 0; pipe_cuts = 0; stopped = 0;
-    deadline_kills = 0; heartbeat_kills = 0; io_retries = 0; replans = 0;
-    recovered_chunks = 0; master_chunks = 0; worker_retries = 0; pings = 0;
-    pongs = 0; checkpoints = 0; restored_loops = 0; degraded = false;
-    pids = [];
-  }
-
-let stats_to_string (s : stats) : string =
-  Printf.sprintf
-    "spawned=%d respawned=%d killed=%d (pipe_cuts=%d) stopped=%d \
-     deadline_kills=%d heartbeat_kills=%d io_retries=%d replans=%d \
-     recovered_chunks=%d master_chunks=%d worker_retries=%d pings=%d \
-     pongs=%d checkpoints=%d restored_loops=%d degraded=%b"
-    s.spawned s.respawned s.killed s.pipe_cuts s.stopped s.deadline_kills
-    s.heartbeat_kills s.io_retries s.replans s.recovered_chunks
-    s.master_chunks s.worker_retries s.pings s.pongs s.checkpoints
-    s.restored_loops s.degraded
-
-type result = {
-  value : V.t;
-  seconds : float;  (** wall-clock *)
-  breakdown : (string * float) list;  (** per-spine-loop wall seconds *)
-  stats : stats;
-  metrics : Metrics.t;
-}
-
-(* ------------------------------------------------------------------ *)
-(* Wire protocol                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Frames are the shared length-prefixed + CRC32 codec of [Transport]
-   (DESIGN.md §16) — one implementation for this executor's socketpair
-   pipes and [Net_cluster]'s TCP links.  A corrupt frame read by the
-   supervisor is a structured [Transport.Corrupt_frame] (Diag rule
-   T-FRAME), handled like a dead peer: the pipe carries no
-   retransmission protocol, so the worker is retired and its chunks
-   replanned. *)
-
-type task = {
-  task_id : int;
-  loop_no : int;
-  chunk : int;
-  base_attempt : int;
-      (** offset into the chunk's injected-fate attempt sequence, bumped
-          per dispatch so a redispatched chunk draws fresh fates *)
-  prog : Exp.exp;  (** closed chunk program (pure data, marshalable) *)
-  bindings : (string * V.t) list;  (** pseudo-input values for [prog] *)
-}
-
-type to_worker = Task of task | Ping of int | Shutdown
-
-type from_worker =
-  | Done of { task_id : int; chunk : int; value : V.t; retries : int }
-  | Refused of { task_id : int; chunk : int; msg : string }
-  | Pong of int
-
-exception Worker_gone = Transport.Peer_gone
-(** The peer is dead: EOF, EPIPE, or connection reset. *)
-
-exception Frame_timeout = Transport.Frame_timeout
-(** A frame did not complete within its deadline: the peer is hung. *)
-
-let write_frame = Transport.write_frame
-let read_frame = Transport.read_frame
-
-(* Bounded retry with exponential backoff on transient I/O errors —
-   resource-pressure failures that clear on their own, as opposed to the
-   peer-is-dead errors mapped to [Worker_gone] above. *)
-let io_retry_budget = 5
-
-let with_io_retry (stats : stats) (f : unit -> 'a) : 'a =
-  let rec go attempt =
-    try f () with
-    | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ENOBUFS), _, _)
-      when attempt < io_retry_budget ->
-        stats.io_retries <- stats.io_retries + 1;
-        Unix.sleepf (1e-4 *. (2.0 ** float_of_int attempt));
-        go (attempt + 1)
-  in
-  go 0
-
-(* ------------------------------------------------------------------ *)
-(* Worker process                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Exit codes: 0 = orderly (Shutdown/EOF/severed pipe), 2 = internal
-   error, 3 = injected permanent crash (the parent recovers the chunk
-   from lineage, exactly as it would for a machine that caught fire). *)
-
-let worker_main ~(slot : int) ~(spec : M.fault_model option)
-    ~(inputs : (string * V.t) list) (fd : Unix.file_descr) : unit =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  (* deterministic per-slot jitter stream: see Fault.worker_seed *)
-  let jitter =
-    Prng.create
-      (match spec with
-      | Some s -> Fault.worker_seed s ~worker:slot
-      | None -> slot + 1)
-  in
-  let inj = Option.map Fault.create spec in
-  let eval_task (t : task) : from_worker =
-    let retries = ref 0 in
-    let rec attempt k =
-      let retry_now =
-        match inj with
-        | None -> false
-        | Some inj -> (
-            let s = Fault.spec inj in
-            match
-              Fault.chunk_fate inj ~loop:t.loop_no ~chunk:t.chunk
-                ~attempt:(t.base_attempt + k)
-            with
-            | Fault.Chunk_fail { transient = true } when k < s.M.max_retries ->
-                true
-            | Fault.Chunk_fail _ ->
-                (* a real crash: die mid-task, lineage recovers the chunk *)
-                Unix._exit 3
-            | Fault.Chunk_slow { slowdown } ->
-                Unix.sleepf (Float.min 2e-3 (1e-4 *. slowdown));
-                false
-            | Fault.Chunk_ok -> false)
-      in
-      if retry_now then begin
-        incr retries;
-        let backoff =
-          match inj with
-          | Some inj -> Fault.backoff_s (Fault.spec inj) ~attempt:k
-          | None -> 1e-4
-        in
-        Unix.sleepf (Float.min 2e-3 (backoff *. (1.0 +. Prng.float jitter 0.5)));
-        attempt (k + 1)
-      end
-      else
-        match Dmll_backend.Closure.run ~inputs:(t.bindings @ inputs) t.prog with
-        | v ->
-            Done { task_id = t.task_id; chunk = t.chunk; value = v;
-                   retries = !retries }
-        | exception e ->
-            Refused { task_id = t.task_id; chunk = t.chunk;
-                      msg = Printexc.to_string e }
-    in
-    attempt 0
-  in
-  let rec serve () =
-    match
-      (try Some (read_frame fd) with
-      | Worker_gone | End_of_file -> None
-      | Transport.Corrupt_frame _ ->
-          (* a corrupt frame on a trusted pipe is an internal error; the
-             supervisor recovers the in-flight chunk by deadline *)
-          Unix._exit 2)
-    with
-    | None | Some Shutdown -> Unix._exit 0
-    | Some (Ping k) ->
-        (try write_frame fd (Pong k) with Worker_gone -> Unix._exit 0);
-        serve ()
-    | Some (Task t) ->
-        let reply = eval_task t in
-        (try write_frame fd reply with Worker_gone -> Unix._exit 0);
-        serve ()
-  in
-  serve ()
-
-(* ------------------------------------------------------------------ *)
-(* The pool                                                            *)
-(* ------------------------------------------------------------------ *)
-
-type worker = {
-  slot : int;
-  pid : int;
-  fd : Unix.file_descr;
-  mutable alive : bool;
-  mutable stopped_until : float option;  (** injected SIGSTOP, resume at *)
-  mutable task : (int * float) option;  (** in-flight chunk, abs deadline *)
-  mutable queue : int list;  (** chunks waiting on this worker, this loop *)
-}
-
-type pool = {
-  cfg : config;
-  inputs : (string * V.t) list;
-  metrics : Metrics.t;
-  stats : stats;
-  mutable members : worker list;  (** every worker ever, newest first *)
-  mutable unreaped : int list;  (** forked pids not yet waitpid'ed *)
-  mutable respawns_left : int;
-  store : Checkpoint.t option;
-}
-
-let alive_workers (pool : pool) : worker list =
-  List.filter (fun w -> w.alive) pool.members
-  |> List.sort (fun a b -> compare a.slot b.slot)
-
-let signal_quiet pid sg = try Unix.kill pid sg with Unix.Unix_error _ -> ()
-
-let reap_blocking (pool : pool) (pid : int) : unit =
-  let rec go () =
-    match Unix.waitpid [] pid with
-    | _ -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
-  in
-  go ();
-  pool.unreaped <- List.filter (fun p -> p <> pid) pool.unreaped
-
-let spawn (pool : pool) (slot : int) : worker =
-  let parent_fd, child_fd =
-    Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0
-  in
-  let peer_fds =
-    List.filter_map (fun w -> if w.alive then Some w.fd else None) pool.members
-  in
-  let spec = Option.map Fault.spec pool.cfg.faults in
-  flush stdout;
-  flush stderr;
-  match Unix.fork () with
-  | 0 ->
-      (* child: drop every parent-side pipe end so a sibling's EOF
-         detection is never held open by us *)
-      (try
-         Unix.close parent_fd;
-         List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-           peer_fds;
-         worker_main ~slot ~spec ~inputs:pool.inputs child_fd
-       with _ -> ());
-      Unix._exit 2
-  | pid ->
-      Unix.close child_fd;
-      pool.stats.spawned <- pool.stats.spawned + 1;
-      pool.stats.pids <- pid :: pool.stats.pids;
-      pool.unreaped <- pid :: pool.unreaped;
-      Metrics.incr pool.metrics "proc_spawned";
-      let w =
-        { slot; pid; fd = parent_fd; alive = true; stopped_until = None;
-          task = None; queue = [] }
-      in
-      pool.members <- w :: pool.members;
-      (match pool.cfg.on_spawn with Some f -> f ~slot ~pid | None -> ());
-      w
-
-(* Take [w] out of the pool.  [linger] leaves the (pipe-cut) process to
-   exit on its own — its pid stays on [unreaped] for the shutdown sweep,
-   so it still can't outlive the run as a zombie. *)
-let retire ?(linger = false) (pool : pool) (w : worker) : unit =
-  if w.alive then begin
-    w.alive <- false;
-    (try Unix.close w.fd with Unix.Unix_error _ -> ());
-    if not linger then begin
-      signal_quiet w.pid Sys.sigcont;
-      signal_quiet w.pid Sys.sigkill;
-      reap_blocking pool w.pid
-    end
-  end
-
-let respawn_or_degrade (pool : pool) (slot : int) : unit =
-  if pool.respawns_left > 0 then begin
-    pool.respawns_left <- pool.respawns_left - 1;
-    pool.stats.respawned <- pool.stats.respawned + 1;
-    Metrics.incr pool.metrics "proc_respawned";
-    ignore (spawn pool slot)
-  end
-  else pool.stats.degraded <- true
-
-(* Guaranteed reaping: every pid ever forked is continued, killed
-   (idempotent on the already-dead), and waitpid'ed.  Runs under
-   [Fun.protect], so it covers the parent-error path too. *)
-let shutdown (pool : pool) : unit =
-  List.iter
-    (fun w ->
-      if w.alive then begin
-        w.alive <- false;
-        (try write_frame w.fd Shutdown with _ -> ());
-        (try Unix.close w.fd with Unix.Unix_error _ -> ())
-      end)
-    pool.members;
-  List.iter
-    (fun pid ->
-      signal_quiet pid Sys.sigcont;
-      signal_quiet pid Sys.sigkill;
-      reap_blocking pool pid)
-    pool.unreaped
-
-(* ------------------------------------------------------------------ *)
-(* Heartbeats: the idle-worker liveness gate                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Before planning each distributed loop the supervisor pings every idle
-   worker and waits [heartbeat_s] per round for pongs; three unanswered
-   rounds declare the worker wedged (it is SIGKILLed, reaped, and
-   respawned within budget).  Healthy workers answer in microseconds, so
-   the gate costs one round trip; only an unresponsive worker makes the
-   gate wait out its rounds. *)
-let liveness_gate (pool : pool) ~(loop_no : int) : unit =
-  List.iter
-    (fun w ->
-      match w.stopped_until with
-      | Some _ ->
-          signal_quiet w.pid Sys.sigcont;
-          w.stopped_until <- None
-      | None -> ())
-    (alive_workers pool);
-  let suspects = ref (alive_workers pool) in
-  for round = 1 to 3 do
-    if !suspects <> [] then begin
-      let token = (loop_no * 101) + round in
-      let pinged =
-        List.filter
-          (fun w ->
-            match
-              with_io_retry pool.stats (fun () -> write_frame w.fd (Ping token))
-            with
-            | () ->
-                pool.stats.pings <- pool.stats.pings + 1;
-                true
-            | exception (Worker_gone | Unix.Unix_error _) ->
-                retire pool w;
-                pool.stats.heartbeat_kills <- pool.stats.heartbeat_kills + 1;
-                respawn_or_degrade pool w.slot;
-                false)
-          !suspects
-      in
-      suspects := pinged;
-      let deadline = Unix.gettimeofday () +. pool.cfg.heartbeat_s in
-      let rec collect () =
-        if !suspects <> [] then begin
-          let left = deadline -. Unix.gettimeofday () in
-          if left > 0.0 then begin
-            let fds = List.map (fun w -> w.fd) !suspects in
-            match Unix.select fds [] [] left with
-            | [], _, _ -> ()
-            | readable, _, _ ->
-                List.iter
-                  (fun fd ->
-                    match
-                      List.find_opt (fun w -> w.alive && w.fd = fd) !suspects
-                    with
-                    | None -> ()
-                    | Some w -> (
-                        match read_frame ~deadline w.fd with
-                        | Pong _ ->
-                            pool.stats.pongs <- pool.stats.pongs + 1;
-                            suspects :=
-                              List.filter (fun x -> x.pid <> w.pid) !suspects
-                        | _ -> ()
-                        | exception
-                            ( Worker_gone | Frame_timeout
-                            | Transport.Corrupt_frame _ ) ->
-                            retire pool w;
-                            pool.stats.heartbeat_kills <-
-                              pool.stats.heartbeat_kills + 1;
-                            respawn_or_degrade pool w.slot;
-                            suspects :=
-                              List.filter (fun x -> x.pid <> w.pid) !suspects))
-                  readable;
-                collect ()
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> collect ()
-          end
-        end
-      in
-      collect ()
-    end
-  done;
-  List.iter
-    (fun w ->
-      pool.stats.heartbeat_kills <- pool.stats.heartbeat_kills + 1;
-      Metrics.incr pool.metrics "proc_heartbeat_kills";
-      retire pool w;
-      respawn_or_degrade pool w.slot)
-    !suspects
-
-(* ------------------------------------------------------------------ *)
-(* Supervised loop execution                                           *)
-(* ------------------------------------------------------------------ *)
-
-exception Master_recompute of int
-(** Internal: route a chunk to inline master evaluation. *)
-
-let run_loop (pool : pool) (env : Evalenv.env) ~(loop_no : int) (l : Exp.loop)
-    : V.t =
-  let cfg = pool.cfg in
-  let inputs = pool.inputs in
-  let stats = pool.stats in
-  let n = Evalenv.eval_int ~inputs env l.Exp.size in
-  let master_eval () = Evalenv.eval ~inputs env (Exp.Loop l) in
-  liveness_gate pool ~loop_no;
-  if n <= 1 || alive_workers pool = [] then master_eval ()
-  else begin
-    (* The plan is a pure function of (n, configured workers): chunk
-       boundaries — and hence merge order and float reassociation — are
-       identical whether the pool is healthy, bleeding, or degraded. *)
-    let units =
-      Schedule.plan ~nodes:cfg.workers ~sockets:1 ~cores:1 n
-      |> List.sort (fun (a : Schedule.unit_of_work) b ->
-             compare a.range.Chunk.lo b.range.Chunk.lo)
-      |> Array.of_list
-    in
-    let nchunks = Array.length units in
-    if nchunks <= 1 then master_eval ()
-    else begin
-      let boundaries =
-        Array.to_list units
-        |> List.filter_map (fun (u : Schedule.unit_of_work) ->
-               if u.range.Chunk.lo > 0 then Some u.range.Chunk.lo else None)
-      in
-      let idx_of_lo = Hashtbl.create nchunks in
-      Array.iteri
-        (fun i (u : Schedule.unit_of_work) ->
-          Hashtbl.replace idx_of_lo u.range.Chunk.lo i)
-        units;
-      let progs =
-        Array.map
-          (fun (u : Schedule.unit_of_work) ->
-            Evalenv.close_over env (Exec_domains.chunk_loop l u.range))
-          units
-      in
-      let still_open =
-        Array.exists
-          (fun (p, _) -> Sym.Set.choose_opt (Exp.free_vars p) <> None)
-          progs
-      in
-      if still_open then
-        (* an unclosable chunk (free symbol outside the spine env):
-           evaluate on the master so the error surfaces identically *)
-        master_eval ()
-      else begin
-        let results : V.t option array = Array.make nchunks None in
-        let remaining = ref nchunks in
-        let dispatches = Array.make nchunks 0 in
-        let fate_drawn = Array.make nchunks false in
-        let owner = Array.make nchunks (-1) in
-        let master_backlog = ref [] in
-        let task_counter = ref 0 in
-        let record_result i v =
-          if results.(i) = None then begin
-            results.(i) <- Some v;
-            decr remaining
-          end
-        in
-        let eval_inline i =
-          if results.(i) = None then begin
-            let prog, bindings = progs.(i) in
-            Fault.check_replan "proc-master" prog;
-            stats.master_chunks <- stats.master_chunks + 1;
-            Metrics.incr pool.metrics "proc_master_chunks";
-            record_result i
-              (Dmll_backend.Closure.run ~inputs:(bindings @ inputs) prog)
-          end
-        in
-        (* enqueue chunk [i] on [w] (does not dispatch) *)
-        let enqueue (w : worker) i =
-          owner.(i) <- w.slot;
-          w.queue <- w.queue @ [ i ]
-        in
-        (* Reassign [lost] chunks after slot [dead_slot]'s demise, via
-           Schedule.replan over the not-yet-done units with their current
-           owners — passing the original cut points as boundaries, so
-           every replacement range is exactly an original chunk. *)
-        let replan_lost ~(dead_slot : int) (lost : int list) : unit =
-          let lost = List.filter (fun i -> results.(i) = None) lost in
-          if lost <> [] then begin
-            stats.replans <- stats.replans + 1;
-            Metrics.incr pool.metrics "proc_replans";
-            (match cfg.faults with
-            | Some f -> Fault.record_replan f
-            | None -> ());
-            let live = alive_workers pool in
-            let fallback () =
-              match live with
-              | [] -> List.iter (fun i -> master_backlog := !master_backlog @ [ i ]) lost
-              | live ->
-                  let nl = List.length live in
-                  List.iteri
-                    (fun j i -> enqueue (List.nth live (j mod nl)) i)
-                    lost
-            in
-            (match live with
-            | [] -> fallback ()
-            | _ -> (
-                let units_now =
-                  List.filter_map
-                    (fun i ->
-                      if results.(i) = None && owner.(i) >= 0 then
-                        Some { (units.(i)) with Schedule.node = owner.(i) }
-                      else None)
-                    (List.init nchunks Fun.id)
-                in
-                match
-                  Schedule.replan ~boundaries ~dead:[ dead_slot ] units_now
-                with
-                | replanned ->
-                    List.iter
-                      (fun (u : Schedule.unit_of_work) ->
-                        match Hashtbl.find_opt idx_of_lo u.range.Chunk.lo with
-                        | Some i when List.mem i lost -> (
-                            match
-                              List.find_opt (fun w -> w.slot = u.node) live
-                            with
-                            | Some w -> enqueue w i
-                            | None ->
-                                master_backlog := !master_backlog @ [ i ])
-                        | _ -> ())
-                      replanned
-                | exception Invalid_argument _ -> fallback ()));
-            List.iter
-              (fun i ->
-                let prog, _ = progs.(i) in
-                Fault.check_replan "proc-replan" prog;
-                stats.recovered_chunks <- stats.recovered_chunks + 1;
-                Metrics.incr pool.metrics "proc_recovered_chunks";
-                match cfg.faults with
-                | Some f -> Fault.record_recovered f
-                | None -> ())
-              lost
-          end
-        in
-        let rec dispatch (w : worker) : unit =
-          match w.queue with
-          | i :: rest when w.task = None && w.alive && w.stopped_until = None
-            ->
-              if results.(i) <> None then begin
-                w.queue <- rest;
-                dispatch w
-              end
-              else begin
-                w.queue <- rest;
-                let prog, bindings = progs.(i) in
-                let base_attempt = dispatches.(i) * 64 in
-                dispatches.(i) <- dispatches.(i) + 1;
-                incr task_counter;
-                Metrics.incr pool.metrics "proc_tasks";
-                let t =
-                  { task_id = !task_counter; loop_no; chunk = i; base_attempt;
-                    prog; bindings }
-                in
-                (match
-                   with_io_retry stats (fun () -> write_frame w.fd (Task t))
-                 with
-                | () -> (
-                    w.task <-
-                      Some (i, Unix.gettimeofday () +. cfg.task_deadline_s);
-                    (match cfg.on_task_sent with
-                    | Some f -> f ~slot:w.slot ~chunk:i
-                    | None -> ());
-                    (* parent-side murder: drawn once per (loop, chunk),
-                       on first dispatch only *)
-                    match cfg.faults with
-                    | Some f when not fate_drawn.(i) -> (
-                        fate_drawn.(i) <- true;
-                        match Fault.proc_fate f ~loop:loop_no ~chunk:i with
-                        | Fault.Proc_ok -> ()
-                        | Fault.Proc_kill { permanent; close_pipe } ->
-                            stats.killed <- stats.killed + 1;
-                            Metrics.incr pool.metrics "proc_kills";
-                            if close_pipe then begin
-                              stats.pipe_cuts <- stats.pipe_cuts + 1;
-                              retire ~linger:true pool w
-                            end
-                            else retire pool w;
-                            worker_dead w ~respawn:(not permanent)
-                        | Fault.Proc_stop { stop_s } ->
-                            stats.stopped <- stats.stopped + 1;
-                            Metrics.incr pool.metrics "proc_stops";
-                            signal_quiet w.pid Sys.sigstop;
-                            w.stopped_until <-
-                              Some (Unix.gettimeofday () +. stop_s))
-                    | _ -> ())
-                | exception Worker_gone -> worker_dead w ~respawn:true ~requeue:[ i ])
-              end
-          | _ -> ()
-        and worker_dead ?(requeue = []) (w : worker) ~(respawn : bool) : unit =
-          retire pool w;
-          let lost =
-            requeue
-            @ (match w.task with Some (i, _) -> [ i ] | None -> [])
-            @ w.queue
-          in
-          w.task <- None;
-          w.queue <- [];
-          replan_lost ~dead_slot:w.slot lost;
-          if respawn then respawn_or_degrade pool w.slot
-          else stats.degraded <- true;
-          List.iter dispatch (alive_workers pool)
-        in
-        let handle_read (w : worker) : unit =
-          match
-            read_frame
-              ~deadline:(Unix.gettimeofday () +. cfg.task_deadline_s)
-              w.fd
-          with
-          | Done { chunk; value; retries; _ } ->
-              stats.worker_retries <- stats.worker_retries + retries;
-              if retries > 0 then
-                Metrics.incr pool.metrics ~by:retries "proc_worker_retries";
-              record_result chunk value;
-              w.task <- None;
-              dispatch w
-          | Refused { chunk; _ } ->
-              (* deterministic evaluation error: recompute inline so the
-                 real exception surfaces from the master *)
-              Metrics.incr pool.metrics "proc_refused";
-              w.task <- None;
-              master_backlog := !master_backlog @ [ chunk ];
-              dispatch w
-          | Pong _ -> stats.pongs <- stats.pongs + 1
-          | exception Worker_gone -> worker_dead w ~respawn:true
-          | exception Transport.Corrupt_frame _ ->
-              (* structured T-FRAME rejection: the pipe carries no
-                 retransmission protocol, so treat the link as dead *)
-              Metrics.incr pool.metrics "proc_corrupt_frames";
-              worker_dead w ~respawn:true
-          | exception Frame_timeout ->
-              stats.deadline_kills <- stats.deadline_kills + 1;
-              Metrics.incr pool.metrics "proc_deadline_kills";
-              worker_dead w ~respawn:true
-        in
-        (* initial assignment: the planned owner when that slot is alive,
-           else replanned onto survivors before anything is dispatched *)
-        let live0 = alive_workers pool in
-        let live_slots = List.map (fun w -> w.slot) live0 in
-        let dead0 =
-          List.filter
-            (fun s -> not (List.mem s live_slots))
-            (List.init cfg.workers Fun.id)
-        in
-        let assigned =
-          if dead0 = [] then Array.to_list units
-          else
-            match Schedule.replan ~boundaries ~dead:dead0 (Array.to_list units)
-            with
-            | us -> us
-            | exception Invalid_argument _ ->
-                List.mapi
-                  (fun j (u : Schedule.unit_of_work) ->
-                    { u with
-                      Schedule.node =
-                        List.nth live_slots (j mod List.length live_slots) })
-                  (Array.to_list units)
-        in
-        List.iter
-          (fun (u : Schedule.unit_of_work) ->
-            match Hashtbl.find_opt idx_of_lo u.range.Chunk.lo with
-            | None -> ()
-            | Some i -> (
-                match List.find_opt (fun w -> w.slot = u.node) live0 with
-                | Some w -> enqueue w i
-                | None -> master_backlog := !master_backlog @ [ i ]))
-          assigned;
-        List.iter dispatch (alive_workers pool);
-        (* the supervision event loop *)
-        while !remaining > 0 do
-          (* master chips in on orphaned work first — it is the driver,
-             immune to injection, and the guarantee of progress *)
-          (match !master_backlog with
-          | i :: rest ->
-              master_backlog := rest;
-              eval_inline i
-          | [] -> ());
-          if !remaining > 0 then begin
-            let now = Unix.gettimeofday () in
-            (* resume injected stragglers whose stop expired *)
-            List.iter
-              (fun w ->
-                match w.stopped_until with
-                | Some t when now >= t ->
-                    signal_quiet w.pid Sys.sigcont;
-                    w.stopped_until <- None;
-                    dispatch w
-                | _ -> ())
-              (alive_workers pool);
-            (* deadline detection: a dispatched chunk unanswered past its
-               deadline marks the worker hung (stopped or genuinely
-               wedged) — SIGKILL and replan *)
-            List.iter
-              (fun w ->
-                match w.task with
-                | Some (_, dl) when now > dl ->
-                    stats.deadline_kills <- stats.deadline_kills + 1;
-                    Metrics.incr pool.metrics "proc_deadline_kills";
-                    worker_dead w ~respawn:true
-                | _ -> ())
-              (alive_workers pool);
-            let live = alive_workers pool in
-            (* safety net: any undone chunk not owned by a live worker or
-               the master backlog goes to the master *)
-            if live = [] then
-              Array.iteri
-                (fun i r ->
-                  if r = None && not (List.mem i !master_backlog) then
-                    master_backlog := !master_backlog @ [ i ])
-                results
-            else begin
-              let covered i =
-                List.mem i !master_backlog
-                || List.exists
-                     (fun w ->
-                       List.mem i w.queue
-                       || match w.task with
-                          | Some (j, _) -> j = i
-                          | None -> false)
-                     live
-              in
-              Array.iteri
-                (fun i r ->
-                  if r = None && not (covered i) then
-                    master_backlog := !master_backlog @ [ i ])
-                results
-            end;
-            if !remaining > 0 && !master_backlog = [] then begin
-              let fds = List.map (fun w -> w.fd) live in
-              if fds <> [] then begin
-                let next_timer =
-                  List.fold_left
-                    (fun acc w ->
-                      let acc =
-                        match w.task with
-                        | Some (_, dl) -> Float.min acc dl
-                        | None -> acc
-                      in
-                      match w.stopped_until with
-                      | Some t -> Float.min acc t
-                      | None -> acc)
-                    (now +. 0.05) live
-                in
-                let timeout = Float.max 1e-3 (next_timer -. now) in
-                match Unix.select fds [] [] timeout with
-                | readable, _, _ ->
-                    List.iter
-                      (fun fd ->
-                        match
-                          List.find_opt
-                            (fun w -> w.alive && w.fd = fd)
-                            pool.members
-                        with
-                        | Some w -> handle_read w
-                        | None -> ())
-                      readable
-                | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-              end
-            end
-          end
-        done;
-        let parts =
-          Array.to_list results
-          |> List.mapi (fun i v ->
-                 match v with
-                 | Some v -> (i, v)
-                 | None -> raise (Master_recompute i))
-        in
-        Exec_domains.merge_parts ~env ~inputs l ~nchunks parts
-      end
-    end
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Checkpoints in process mode                                         *)
-(* ------------------------------------------------------------------ *)
-
-let take_checkpoint (pool : pool) ~(loop_no : int) (env : Evalenv.env)
-    (sym : Sym.t option) (v : V.t) : unit =
-  match pool.store with
-  | Some store when Checkpoint.due store ~loop:loop_no ->
-      let name = match sym with Some s -> Sym.to_string s | None -> "result" in
-      let bindings =
-        Sym.Map.fold (fun s bv acc -> (Sym.to_string s, bv) :: acc) env []
-        @ [ (name, v) ]
-      in
-      let snap =
-        Checkpoint.record store ~at_loop:loop_no ~chunks:pool.cfg.workers
-          ~bindings
-          ~driver:[ ("loop_no", V.Vint loop_no) ]
-      in
-      (match pool.cfg.checkpoint_dir with
-      | Some dir -> ignore (Checkpoint.write_file ~dir snap)
-      | None -> ());
-      pool.stats.checkpoints <- pool.stats.checkpoints + 1;
-      Metrics.incr pool.metrics "proc_checkpoints";
-      (match pool.cfg.faults with
-      | Some f -> Fault.record_checkpoint f
-      | None -> ())
-  | _ -> ()
-
-let load_resume (cfg : config) : Checkpoint.snapshot option =
-  if not cfg.resume then None
-  else
-    match cfg.checkpoint_dir with
-    | None -> None
-    | Some dir -> (
-        match Checkpoint.latest_file ~dir with
-        | None -> None
-        | Some path -> (
-            match Checkpoint.read_file path with
-            | Checkpoint.Available s -> Some s
-            | Checkpoint.Corrupt _ | Checkpoint.None_taken -> None))
-
-(* ------------------------------------------------------------------ *)
-(* Entry point                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let run ?(config = default_config) ?(inputs = []) (program : Exp.exp) : result
-    =
-  let cfg = { config with workers = Stdlib.max 1 config.workers } in
-  let metrics =
-    match cfg.metrics with Some m -> m | None -> Metrics.create ()
-  in
-  let stats = fresh_stats () in
-  let store =
-    if cfg.checkpoint_cadence > 0 then
-      Some (Checkpoint.create ~cadence:cfg.checkpoint_cadence)
-    else None
-  in
-  let pool =
-    { cfg; inputs; metrics; stats; members = []; unreaped = [];
-      respawns_left = cfg.max_respawns; store }
-  in
-  let saved_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-  let t0 = Unix.gettimeofday () in
-  let breakdown = ref [] in
-  Fun.protect
-    ~finally:(fun () ->
-      shutdown pool;
-      Sys.set_signal Sys.sigpipe saved_sigpipe)
-    (fun () ->
-      for slot = 0 to cfg.workers - 1 do
-        ignore (spawn pool slot)
-      done;
-      let restored = load_resume cfg in
-      let loop_no = ref 0 in
-      let value =
-        Spine.exec ~inputs
-          ~on_loop:(fun env sym l ->
-            incr loop_no;
-            let name =
-              match sym with Some s -> Sym.to_string s | None -> "result"
-            in
-            let restored_v =
-              match restored with
-              | Some snap when !loop_no <= snap.Checkpoint.at_loop ->
-                  Option.map
-                    (fun (e : Checkpoint.entry) ->
-                      Checkpoint.copy_value e.Checkpoint.value)
-                    (List.assoc_opt name snap.Checkpoint.bindings)
-              | _ -> None
-            in
-            match restored_v with
-            | Some v ->
-                stats.restored_loops <- stats.restored_loops + 1;
-                Metrics.incr metrics "proc_restored_loops";
-                (match cfg.faults with
-                | Some f -> Fault.record_restore f
-                | None -> ());
-                v
-            | None ->
-                let v, dt =
-                  Dmll_util.Timing.time (fun () ->
-                      Span.with_span ?tracer:cfg.obs ~tid:Span.runtime_tid
-                        ~cat:"runtime"
-                        ~args:[ ("loop", Span.Int !loop_no) ]
-                        name
-                        (fun () -> run_loop pool env ~loop_no:!loop_no l))
-                in
-                breakdown := (name, dt) :: !breakdown;
-                Metrics.incr metrics "proc_loops";
-                take_checkpoint pool ~loop_no:!loop_no env sym v;
-                v)
-          program
-      in
-      { value;
-        seconds = Unix.gettimeofday () -. t0;
-        breakdown = List.rev !breakdown;
-        stats;
-        metrics;
-      })
+let run ?config ?inputs program =
+  Supervisor.run ~link:Pipe ~prefix:"proc" ?config ?inputs program

@@ -1,24 +1,22 @@
-(** Process-backed cluster executor: forked OS-process workers speaking
-    a length-prefixed [Marshal] protocol over socketpairs, under a
-    supervisor with heartbeat/deadline liveness detection, bounded
-    retry-with-backoff on transient I/O errors, {!Schedule.replan}-based
-    lineage recovery onto survivors, budgeted respawn with graceful
-    degradation, and guaranteed child reaping (DESIGN.md §14).
+(** Process-backed cluster executor: the pipe link of {!Supervisor}
+    (DESIGN.md §14.1).  Forked workers inherit the program inputs
+    copy-on-write and serve chunk programs over socketpairs; the
+    supervisor detects dead, hung and wedged workers, replans their
+    chunks onto survivors with {!Schedule.replan}, respawns within a
+    budget, degrades to master-inline evaluation past it, and reaps
+    every child it forked.  Metrics are counted under the [proc_]
+    prefix.
 
-    Determinism contract: the chunk plan depends only on the loop size
-    and the {e configured} worker count, never on the live set, so a run
-    under injected process murder merges the same chunk partials in the
-    same order as a healthy run — faulty and healthy values are
-    bit-identical.  Against the sequential interpreter, values are
-    bit-identical whenever the loop merges exactly (collects, int
-    reduces, bucket merges) and float-merge-identical (within 1e-6
-    relative) for floating-point reductions. *)
+    Determinism contract: a run under injected process murder is
+    bit-identical to the healthy run; against the sequential
+    interpreter, values are bit-identical for exact merges and within
+    1e-6 relative for floating-point reductions. *)
 
 module V = Dmll_interp.Value
 module Span = Dmll_obs.Span
 module Metrics = Dmll_obs.Metrics
 
-type config = {
+type config = Supervisor.config = {
   workers : int;  (** forked worker processes (and the fixed chunk fan-out) *)
   faults : Fault.t option;
       (** arms worker-side injected chunk faults {e and} parent-side real
@@ -27,8 +25,8 @@ type config = {
       (** a dispatched chunk unanswered for this long marks the worker
           hung: SIGKILL + replan *)
   heartbeat_s : float;
-      (** idle-worker ping cadence at loop boundaries; three missed
-          pongs declare the worker dead *)
+      (** ping cadence, at loop boundaries and on idle workers inside a
+          loop; three missed pongs declare the worker dead *)
   max_respawns : int;  (** replacement-worker budget for the whole run *)
   checkpoint_cadence : int;  (** snapshot every N spine loops; [<=0] off *)
   checkpoint_dir : string option;
@@ -50,15 +48,22 @@ val default_config : config
 (** 2 workers, 5 s task deadline, 0.25 s heartbeat, 8 respawns, no
     faults, no checkpointing. *)
 
-(** Supervision counters for one run, all observed from the parent. *)
-type stats = {
+(** Supervision counters for one run, all observed from the parent —
+    the record both links share; the TCP-only counters stay 0 here. *)
+type stats = Supervisor.stats = {
   mutable spawned : int;  (** every fork, initial and replacement *)
   mutable respawned : int;
+  mutable connects : int;
+  mutable reconnects : int;
+  mutable rejections : int;
+  mutable disconnects : int;
+  mutable grace_expired : int;
   mutable killed : int;  (** injected murders (SIGKILL or pipe cut) *)
-  mutable pipe_cuts : int;
+  mutable link_cuts : int;  (** injected pipe cuts *)
   mutable stopped : int;  (** injected SIGSTOP straggles *)
   mutable deadline_kills : int;
   mutable heartbeat_kills : int;
+  mutable frame_resends : int;
   mutable io_retries : int;  (** transient I/O errors retried with backoff *)
   mutable replans : int;
   mutable recovered_chunks : int;  (** chunks redispatched after a death *)
@@ -74,7 +79,7 @@ type stats = {
 
 val stats_to_string : stats -> string
 
-type result = {
+type result = Supervisor.result = {
   value : V.t;
   seconds : float;  (** wall-clock *)
   breakdown : (string * float) list;  (** per-spine-loop wall seconds *)

@@ -1,6 +1,6 @@
 (** A dependency-free recursive-descent JSON reader for golden schema
-    tests: just enough to pin the shape of the [--explain-comm] /
-    [--explain-mem] documents so downstream tooling can rely on them.
+    tests: just enough to pin the shape of the [--explain comm] /
+    [--explain mem] documents so downstream tooling can rely on them.
     Symbol names inside the documents are gensym-dependent, so tests
     built on this check structure (exact key sets, value types) and the
     sym-independent values, not the raw strings. *)

@@ -239,10 +239,10 @@ let test_per_run_metrics_isolation () =
     (Dmll_obs.Metrics.bytes r1.R.Sim_common.metrics "remote_read_bytes")
     (Dmll_obs.Metrics.bytes r2.R.Sim_common.metrics "remote_read_bytes")
 
-(* ---------------- --explain-comm --json golden schema ----------------- *)
+(* ---------------- --explain comm --json golden schema ----------------- *)
 
 (* The JSON reader lives in test/support/json_check.ml, shared with the
-   --explain-mem golden test in test_mem.ml. *)
+   --explain mem golden test in test_mem.ml. *)
 open Dmll_testgen.Json_check
 
 let parse_json = parse
@@ -250,7 +250,7 @@ let parse_json = parse
 let tkeys = Alcotest.(list string)
 
 let test_explain_json_schema () =
-  (* reproduce dmllc --explain-comm kmeans_tiny --json --nodes 4
+  (* reproduce dmllc --explain comm kmeans_tiny --json --nodes 4
      in-process *)
   let machine = M.with_nodes 4 M.ec2_cluster in
   let input_lens = [ ("matrix", 256); ("clusters", 16) ] in

@@ -369,14 +369,14 @@ let test_early_free_shrinks_peaks () =
                  .R.Sim_common.value))
         (shrink_apps ()))
 
-(* ---------------- --explain-mem --json golden schema ------------------ *)
+(* ---------------- --explain mem --json golden schema ------------------ *)
 
 open Dmll_testgen.Json_check
 
 let tkeys = Alcotest.(list string)
 
 let test_explain_mem_json_schema () =
-  (* reproduce dmllc --explain-mem kmeans_tiny --json --nodes 4
+  (* reproduce dmllc --explain mem kmeans_tiny --json --nodes 4
      in-process *)
   let machine = M.with_nodes 4 M.ec2_cluster in
   let input_lens = [ ("matrix", 256); ("clusters", 16) ] in

@@ -1,4 +1,4 @@
-(* TCP executor tests (DESIGN.md §16).
+(* TCP executor tests (DESIGN.md §14.2).
 
    The contract under test: TCP-attached workers hit with real network
    faults — blackholed links, mid-frame severs, CRC-failing corruption,
@@ -709,6 +709,146 @@ let test_replay_determinism () =
   in
   check value "seeded network chaos replays to the same value" (go ()) (go ())
 
+(* ================================================================== *)
+(* Session tokens                                                      *)
+(* ================================================================== *)
+
+let test_session_token () =
+  let t1 = NC.gen_token () and t2 = NC.gen_token () in
+  check tint "32 characters" 32 (String.length t1);
+  check tbool "lowercase hex" true
+    (String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) t1);
+  check tbool "two calls differ" true (t1 <> t2)
+
+(* ================================================================== *)
+(* One supervisor, two links                                           *)
+(* ================================================================== *)
+
+(* Same chunk plan, same merge order: at the same worker count, healthy
+   runs on the pipe and TCP links agree bit-for-bit.  The seed is pinned
+   so the same programs run on every build. *)
+let prop_links_bit_identical =
+  QCheck.Test.make ~count:50 ~name:"pipe link = TCP link, bit-identical"
+    QCheck.(
+      pair (int_range 2 4)
+        (make ~print:Pp.to_string Dmll_testgen.Gen_ir.partitioned_program))
+    (fun (workers, program) ->
+      let inputs = [ ("xs", xs_val 257) ] in
+      match Interp.run ~inputs program with
+      | exception Interp.Runtime_error _ -> QCheck.assume_fail ()
+      | _ ->
+          let pipe =
+            Proc_cluster.run
+              ~config:{ Proc_cluster.default_config with workers }
+              ~inputs program
+          in
+          let tcp = NC.run ~config:(net_config ~workers ()) ~inputs program in
+          Value.equal pipe.Proc_cluster.value tcp.NC.value)
+
+(* The supervision counters checked against their [<prefix>_<name>]
+   metric twins, after a run whose [fired] counter must be nonzero. *)
+let check_twins (tag : string) ~(prefix : string) ~(fired : string)
+    (r : Supervisor.result) =
+  let stats = Supervisor.counters r.Supervisor.stats in
+  check tbool (tag ^ ": " ^ fired ^ " fired") true (List.assoc fired stats > 0);
+  List.iter
+    (fun name ->
+      check tint
+        (Printf.sprintf "%s: %s_%s = stats" tag prefix name)
+        (List.assoc name stats)
+        (Dmll_obs.Metrics.count r.Supervisor.metrics (prefix ^ "_" ^ name)))
+    [ "heartbeat_kills"; "deadline_kills"; "replans"; "recovered_chunks";
+      "master_chunks"; "respawned"; "kills" ]
+
+(* A joined TCP worker that never answers anything: wedged while idle. *)
+let rec ignore_frames fd : unit =
+  match (Transport.read_frame fd : NC.to_worker) with
+  | exception _ -> close_quiet fd
+  | NC.Shutdown -> close_quiet fd
+  | _ -> ignore_frames fd
+
+let test_counters_match_metrics () =
+  let inputs = [ ("xs", xs_val 401) ] in
+  (* hung: every first dispatch SIGSTOPs its worker past the deadline *)
+  let hung () =
+    Fault.create
+      { M.default_faults with
+        M.fault_seed = 7;
+        crash_prob = 0.0;
+        straggler_prob = 1.0;
+        straggler_slowdown = 30.0;
+      }
+  in
+  (* on the pipe link, slot 1's first worker gets [signal] before it
+     ever answers: SIGSTOP wedges it, SIGKILL leaves a dead pipe for the
+     liveness gate's ping or pong read to find *)
+  let proc_gate_kill signal =
+    let sent = ref false in
+    let on_spawn ~slot ~pid =
+      if slot = 1 && not !sent then begin
+        sent := true;
+        Unix.kill pid signal
+      end
+    in
+    Proc_cluster.run ~inputs spine_prog
+      ~config:
+        { Proc_cluster.default_config with
+          workers = 3;
+          heartbeat_s = 0.03;
+          on_spawn = Some on_spawn;
+        }
+  in
+  check_twins "pipe wedged" ~prefix:"proc" ~fired:"heartbeat_kills"
+    (proc_gate_kill Sys.sigstop);
+  check_twins "pipe dead at the gate" ~prefix:"proc" ~fired:"heartbeat_kills"
+    (proc_gate_kill Sys.sigkill);
+  let proc_hung =
+    Proc_cluster.run ~inputs spine_prog
+      ~config:
+        { Proc_cluster.default_config with
+          workers = 3;
+          faults = Some (hung ());
+          task_deadline_s = 0.08;
+          heartbeat_s = 0.05;
+        }
+  in
+  check_twins "pipe hung" ~prefix:"proc" ~fired:"deadline_kills" proc_hung;
+  (* wedged on the TCP link: one hand-rolled worker joins and then goes
+     silent, the other serves the run *)
+  let config =
+    { (net_config ~workers:2 ~heartbeat_s:0.03 ()) with
+      NC.token = Some test_token;
+      join_deadline_s = 5.0;
+    }
+  in
+  let worker ~addr =
+    let silent =
+      Thread.create
+        (fun () ->
+          let fd = dial addr in
+          match handshake fd ~token:test_token ~reconnect:None with
+          | NC.Rejected _ -> close_quiet fd
+          | NC.Accepted _ -> ignore_frames fd)
+        ()
+    in
+    let fd = dial addr in
+    (match handshake fd ~token:test_token ~reconnect:None with
+    | NC.Rejected _ -> close_quiet fd
+    | NC.Accepted { inputs = winputs; _ } ->
+        ignore
+          (fake_serve fd ~inputs:winputs ~drop_before_reply:None
+             ~tasks_seen:(ref 0)));
+    Thread.join silent
+  in
+  let net_wedged, () = with_fake_worker ~config ~inputs worker spine_prog in
+  check_twins "tcp wedged" ~prefix:"net" ~fired:"heartbeat_kills" net_wedged;
+  let net_hung =
+    NC.run ~inputs spine_prog
+      ~config:(net_config ~faults:(hung ()) ~task_deadline_s:0.08 ())
+  in
+  check_twins "tcp hung" ~prefix:"net" ~fired:"deadline_kills" net_hung;
+  assert_clean "counter twins" net_hung.NC.stats
+
 (* ---------------- runner ---------------- *)
 
 let () =
@@ -744,9 +884,18 @@ let () =
             test_grace_expiry_refused_and_replanned;
           Alcotest.test_case "handshake rejections" `Quick
             test_handshake_rejections;
+          Alcotest.test_case "session tokens are random hex" `Quick
+            test_session_token;
         ] );
       ( "determinism",
         [ Alcotest.test_case "seeded chaos replays exactly" `Quick
             test_replay_determinism;
+        ] );
+      ( "links",
+        [ QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 20260807 |])
+            prop_links_bit_identical;
+          Alcotest.test_case "supervision counters match their metrics"
+            `Quick test_counters_match_metrics;
         ] );
     ]

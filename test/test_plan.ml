@@ -5,7 +5,7 @@
    plan — asserted on all twelve apps at 2 and 5 nodes with the
    C-COMM-OVERRUN machinery armed — the pinned kmeans 20-node decision,
    the W-FUSION-MISSED lint, a pinned-seed QCheck property over random
-   partitioned programs, and the --explain-plan --json golden schema. *)
+   partitioned programs, and the --explain plan --json golden schema. *)
 
 open Dmll_ir
 open Exp
@@ -360,7 +360,7 @@ let prop_ilp_plan_no_worse =
                 V.equal expected (run x.Plan.chosen.Plan.program)
                 && V.equal expected (run x.Plan.greedy.Plan.program)))
 
-(* ---------------- --explain-plan --json golden schema ------------------ *)
+(* ---------------- --explain plan --json golden schema ------------------ *)
 
 open Dmll_testgen.Json_check
 
@@ -376,7 +376,7 @@ let check_choice label c =
   List.iter (fun r -> ignore (str r)) (arr (field c "rewrites"))
 
 let test_explain_plan_json_schema () =
-  (* reproduce dmllc --explain-plan kmeans_tiny --json --nodes 4
+  (* reproduce dmllc --explain plan kmeans_tiny --json --nodes 4
      in-process *)
   let machine = M.with_nodes 4 M.ec2_cluster in
   let input_lens = [ ("matrix", 256); ("clusters", 16) ] in
