@@ -47,14 +47,15 @@ type task = {
   bindings : (string * V.t) list;
 }
 
-(** Master's handshake answer: join credentials plus everything a
-    remote worker needs (fault spec, program inputs). *)
+(** Master's handshake answer: join credentials plus the fault spec.
+    An [Accepted] is followed by one more frame, the
+    [(string * V.t) list] of the inputs the program reads; the master
+    encodes it once per run and writes the same bytes to every joiner. *)
 type welcome =
   | Accepted of {
       slot : int;
       wid : int;
       spec : M.fault_model option;
-      inputs : (string * V.t) list;
       heartbeat_s : float;
     }
   | Rejected of { reason : string }

@@ -7,8 +7,8 @@
     the reaping sweep — is written once, here.  The links differ in two
     ways only: how a slot gets connected (fork + socketpair with the
     inputs inherited, versus a dialing worker and a handshake that ships
-    them) and whether a lost link may redial (TCP gets a grace window; a
-    cut pipe is a lost worker).
+    the inputs the program reads) and whether a lost link may redial
+    (TCP gets a grace window; a cut pipe is a lost worker).
 
     Determinism contract: the chunk plan is a pure function of the loop
     size and the {e configured} worker count, so a faulty run merges the
@@ -152,11 +152,34 @@ type result = {
 
 (* Frames are the shared length-prefixed + CRC32 codec of [Transport]. *)
 
-let protocol_version = 1
+let protocol_version = 2
 
 (** First frame on every new TCP connection, worker → master.
     [reconnect] carries the session id of a previous incarnation. *)
 type hello = { version : int; token : string; reconnect : int option }
+
+(** The TCP link's input frame: the [(string * V.t) list] of the inputs
+    named by an [Input] node of the program, framed once per run and
+    written verbatim after every [Accepted].  A worker needs no other
+    input: chunk programs are subterms of the program, and the spine
+    values they close over travel in each task's bindings. *)
+type shipment = {
+  frame : bytes;
+  shipped : int;  (** inputs in the frame *)
+  total : int;  (** inputs the run was given *)
+}
+
+let shipment (program : Exp.exp) (inputs : (string * V.t) list) : shipment =
+  let read =
+    Exp.fold
+      (fun acc e -> match e with Exp.Input (n, _, _) -> n :: acc | _ -> acc)
+      [] program
+  in
+  let shipped = List.filter (fun (n, _) -> List.mem n read) inputs in
+  { frame = Transport.encode_frame shipped;
+    shipped = List.length shipped;
+    total = List.length inputs;
+  }
 
 type task = {
   task_id : int;
@@ -171,13 +194,13 @@ type task = {
 
 (** Master's TCP handshake answer: the slot (which keys the
     deterministic fault streams), the session id (the reconnect
-    credential), the fault spec, and the program inputs. *)
+    credential), and the fault spec.  The input frame of {!shipment}
+    follows an [Accepted]. *)
 type welcome =
   | Accepted of {
       slot : int;
       wid : int;
       spec : M.fault_model option;
-      inputs : (string * V.t) list;
       heartbeat_s : float;
     }
   | Rejected of { reason : string }
@@ -349,18 +372,22 @@ let worker_main ?(redials = 2) ?(dial_attempts = 25) ?(dial_backoff_s = 0.02)
     | Some fd -> (
         match
           Transport.write_frame fd { version = protocol_version; token; reconnect };
-          (Transport.read_frame ~deadline:(Unix.gettimeofday () +. 5.0) fd
-            : welcome)
+          let deadline = Unix.gettimeofday () +. 5.0 in
+          match (Transport.read_frame ~deadline fd : welcome) with
+          | Rejected _ -> None
+          | Accepted { slot; wid; spec; heartbeat_s = _ } ->
+              let inputs : (string * V.t) list = Transport.read_frame ~deadline fd in
+              Some (slot, wid, spec, inputs)
         with
         | exception _ ->
             close_quiet fd;
             never_joined
-        | Rejected _ ->
+        | None ->
             (* the master refused us: it has already replanned whatever
                we held, so this exit is orderly *)
             close_quiet fd;
             never_joined
-        | Accepted { slot; wid; spec; inputs; heartbeat_s = _ } -> (
+        | Some (slot, wid, spec, inputs) -> (
             let outcome = serve ~slot ~spec ~inputs fd in
             close_quiet fd;
             match outcome with
@@ -406,7 +433,8 @@ type pool = {
   cfg : config;
   link : link;
   prefix : string;  (** metric prefix, [proc] or [net] *)
-  inputs : (string * V.t) list;
+  inputs : (string * V.t) list;  (** every input: spine, inline chunks, merge *)
+  shipment : shipment Lazy.t;  (** TCP: encoded at the first join *)
   metrics : Metrics.t;
   stats : stats;
   members : worker array;  (** one entry per slot, fixed for the run *)
@@ -460,18 +488,24 @@ let attach (pool : pool) (w : worker) (fd : Unix.file_descr) : unit =
   w.missed <- 0;
   w.resends_left <- resend_budget
 
+(* Credit traffic to slot [slot]'s link ledger and the aggregate one. *)
+let ledger (pool : pool) ~(slot : int) ~(bytes_in : int) ~(bytes_out : int) :
+    unit =
+  let add name n = Metrics.add_bytes pool.metrics name (float_of_int n) in
+  let link = Printf.sprintf "%s_link_%d" pool.prefix slot in
+  add (link ^ "_bytes_out") bytes_out;
+  add (link ^ "_bytes_in") bytes_in;
+  add (pool.prefix ^ "_bytes_out") bytes_out;
+  add (pool.prefix ^ "_bytes_in") bytes_in
+
 (* Tear down a link, flushing its byte counters into per-link and
    aggregate metrics first so no traffic is lost to the teardown. *)
 let drop_conn (pool : pool) (w : worker) : unit =
   match w.conn with
   | None -> ()
   | Some c ->
-      let add name n = Metrics.add_bytes pool.metrics name (float_of_int n) in
-      let link = Printf.sprintf "%s_link_%d" pool.prefix w.slot in
-      add (link ^ "_bytes_out") (Transport.bytes_out c);
-      add (link ^ "_bytes_in") (Transport.bytes_in c);
-      add (pool.prefix ^ "_bytes_out") (Transport.bytes_out c);
-      add (pool.prefix ^ "_bytes_in") (Transport.bytes_in c);
+      ledger pool ~slot:w.slot ~bytes_in:(Transport.bytes_in c)
+        ~bytes_out:(Transport.bytes_out c);
       let inj = Transport.injected_faults c in
       if inj > 0 then count pool ~by:inj "injected_link_faults";
       Transport.close c;
@@ -673,17 +707,32 @@ let accept_one (pool : pool) (t : tcp) : worker option =
           (* the handshake itself is injection-exempt: faults model the
              data plane, and an unjoinable cluster would just test the
              dial loop *)
-          let join w ~resumed =
-            match
-              Transport.write_frame fd
+          let join w ~resumed ~hello_bytes =
+            let shipment = Lazy.force pool.shipment in
+            let welcome =
+              Transport.encode_frame
                 (Accepted
                    { slot = w.slot; wid = w.wid;
                      spec = Option.map Fault.spec pool.cfg.faults;
-                     inputs = pool.inputs; heartbeat_s = pool.cfg.heartbeat_s })
+                     heartbeat_s = pool.cfg.heartbeat_s })
+            in
+            let bytes_out = Bytes.length welcome + Bytes.length shipment.frame in
+            match
+              Span.with_span ?tracer:pool.cfg.obs ~tid:Span.runtime_tid
+                ~cat:pool.prefix
+                ~args:
+                  [ ("slot", Span.Int w.slot); ("bytes", Span.Int bytes_out);
+                    ("inputs_shipped", Span.Int shipment.shipped);
+                    ("inputs_total", Span.Int shipment.total) ]
+                (pool.prefix ^ "-welcome")
+                (fun () ->
+                  Transport.write_encoded fd welcome;
+                  Transport.write_encoded fd shipment.frame)
             with
             | exception _ -> ()
             | () ->
                 attach pool w fd;
+                ledger pool ~slot:w.slot ~bytes_in:hello_bytes ~bytes_out;
                 if resumed then begin
                   (* resume: replay the retained chunk plan *)
                   w.queue <- w.retained;
@@ -698,18 +747,18 @@ let accept_one (pool : pool) (t : tcp) : worker option =
                 joined := Some w
           in
           (match
-             (Transport.read_frame ~deadline:(now +. t.accept_deadline_s) fd
-               : hello)
+             (Transport.read_frame_sized ~deadline:(now +. t.accept_deadline_s) fd
+               : hello * int)
            with
           | exception
               (Worker_gone | Frame_timeout | Transport.Corrupt_frame _) ->
               reject "malformed hello"
-          | h when h.version <> protocol_version ->
+          | h, _ when h.version <> protocol_version ->
               reject
                 (Printf.sprintf "protocol version mismatch: got %d, want %d"
                    h.version protocol_version)
-          | h when h.token <> t.token -> reject "bad session token"
-          | { reconnect = Some wid; _ } -> (
+          | h, _ when h.token <> t.token -> reject "bad session token"
+          | { reconnect = Some wid; _ }, hello_bytes -> (
               match
                 Array.find_opt
                   (fun w -> w.wid = wid && wid <> 0 && not w.retired)
@@ -724,8 +773,8 @@ let accept_one (pool : pool) (t : tcp) : worker option =
                   (* a still-open old link is superseded: it is lost, and
                      its window covers a failed welcome *)
                   if w.conn <> None then enter_grace pool w;
-                  join w ~resumed:true)
-          | { reconnect = None; _ } -> (
+                  join w ~resumed:true ~hello_bytes)
+          | { reconnect = None; _ }, hello_bytes -> (
               match
                 Array.find_opt
                   (fun w -> w.conn = None && w.grace_until = None && not w.retired)
@@ -735,7 +784,7 @@ let accept_one (pool : pool) (t : tcp) : worker option =
               | Some w ->
                   w.wid <- pool.next_wid;
                   pool.next_wid <- pool.next_wid + 1;
-                  join w ~resumed:false));
+                  join w ~resumed:false ~hello_bytes));
           !joined)
 
 (* Accept a dial if one arrives within [timeout]; [false] when none did. *)
@@ -1303,6 +1352,7 @@ let run ~(link : link) ~(prefix : string) ?(config = default_config)
   let stats = fresh_stats () in
   let pool =
     { cfg; link; prefix; inputs; metrics; stats;
+      shipment = lazy (shipment program inputs);
       members = Array.init cfg.workers fresh_worker;
       unreaped = [];
       respawns_left = cfg.max_respawns;

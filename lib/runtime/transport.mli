@@ -25,7 +25,7 @@ val max_frame_bytes : int
 val header_bytes : int
 
 val crc32 : bytes -> int
-(** IEEE 802.3 CRC32 of a buffer, in [0, 2{^32}). *)
+(** IEEE 802.3 CRC32 of a buffer, in [0, 2{^32}) (slicing-by-8). *)
 
 (** {1 Fd-level codec} — the pipe path ({!Proc_cluster}). *)
 
@@ -33,9 +33,20 @@ val write_frame : Unix.file_descr -> 'a -> unit
 (** Marshal and frame one message.  Raises {!Peer_gone} when the peer
     is dead. *)
 
+val encode_frame : 'a -> bytes
+(** One whole frame — header then marshalled payload — as written on
+    the wire by {!write_frame}. *)
+
+val write_encoded : Unix.file_descr -> bytes -> unit
+(** Write a frame built by {!encode_frame}, so one encoding can go to
+    many peers.  Raises {!Peer_gone} when the peer is dead. *)
+
 val read_frame : ?deadline:float -> Unix.file_descr -> 'a
 (** Read one frame, optionally bounded by an absolute deadline.
     Raises {!Peer_gone}, {!Frame_timeout}, or {!Corrupt_frame}. *)
+
+val read_frame_sized : ?deadline:float -> Unix.file_descr -> 'a * int
+(** {!read_frame}, also returning the frame's size on the wire. *)
 
 (** {1 Counted connections} — the TCP path ({!Net_cluster}).
 

@@ -218,6 +218,34 @@ let test_deadline_edge_inclusive () =
       | _ -> Alcotest.fail "read returned without data"
       | exception Transport.Frame_timeout -> ())
 
+(* The textbook byte-at-a-time CRC32, the reference for the sliced one. *)
+let crc32_bytewise (b : bytes) : int =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref 0xFFFFFFFF in
+  Bytes.iter
+    (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
+    b;
+  !c lxor 0xFFFFFFFF
+
+let test_crc32_matches_bytewise () =
+  check tint "check value of \"123456789\"" 0xCBF43926
+    (Transport.crc32 (Bytes.of_string "123456789"));
+  let rng = Random.State.make [| 13 |] in
+  let random n = Bytes.init n (fun _ -> Char.chr (Random.State.int rng 256)) in
+  for n = 0 to 64 do
+    let b = random n in
+    check tint (Printf.sprintf "length %d" n) (crc32_bytewise b) (Transport.crc32 b)
+  done;
+  let big = random (1 lsl 20) in
+  check tint "1 MB buffer" (crc32_bytewise big) (Transport.crc32 big)
+
 (* ================================================================== *)
 (* Healthy runs                                                        *)
 (* ================================================================== *)
@@ -412,10 +440,15 @@ let dial (addr : string) : Unix.file_descr =
   Unix.connect fd sa;
   fd
 
-let handshake fd ~(token : string) ~(reconnect : int option) : NC.welcome =
+(* The welcome, and on [Accepted] the input frame that follows it. *)
+let handshake fd ~(token : string) ~(reconnect : int option) :
+    NC.welcome * (string * Value.t) list =
   Transport.write_frame fd
     { NC.version = NC.protocol_version; token; reconnect };
-  Transport.read_frame ~deadline:(Stdlib.( +. ) (Unix.gettimeofday ()) 5.0) fd
+  let deadline = Stdlib.( +. ) (Unix.gettimeofday ()) 5.0 in
+  match (Transport.read_frame ~deadline fd : NC.welcome) with
+  | NC.Accepted _ as w -> (w, Transport.read_frame ~deadline fd)
+  | NC.Rejected _ as w -> (w, [])
 
 (* Serve the master's frames, computing chunk values exactly the way a
    real worker does.  [drop_before_reply n] closes the link on receipt
@@ -509,8 +542,8 @@ let test_reconnect_and_resume () =
         (fun () ->
           let fd = dial addr in
           match handshake fd ~token:test_token ~reconnect:None with
-          | NC.Rejected _ -> close_quiet fd
-          | NC.Accepted { inputs = winputs; _ } ->
+          | NC.Rejected _, _ -> close_quiet fd
+          | NC.Accepted _, winputs ->
               ignore
                 (fake_serve fd ~inputs:winputs ~drop_before_reply:None
                    ~tasks_seen:(ref 0)))
@@ -519,8 +552,8 @@ let test_reconnect_and_resume () =
     let obs =
       let fd = dial addr in
       match handshake fd ~token:test_token ~reconnect:None with
-      | NC.Rejected { reason } -> `Rejected reason
-      | NC.Accepted { wid; inputs = winputs; _ } -> (
+      | NC.Rejected { reason }, _ -> `Rejected reason
+      | NC.Accepted { wid; _ }, winputs -> (
           let tasks_seen = ref 0 in
           match
             fake_serve fd ~inputs:winputs ~drop_before_reply:(Some 1)
@@ -530,10 +563,10 @@ let test_reconnect_and_resume () =
           | `Dropped -> (
               let fd2 = dial addr in
               match handshake fd2 ~token:test_token ~reconnect:(Some wid) with
-              | NC.Rejected { reason } ->
+              | NC.Rejected { reason }, _ ->
                   close_quiet fd2;
                   `Rejected reason
-              | NC.Accepted { wid = wid2; inputs = winputs; _ } ->
+              | NC.Accepted { wid = wid2; _ }, winputs ->
                   ignore
                     (fake_serve fd2 ~inputs:winputs ~drop_before_reply:None
                        ~tasks_seen);
@@ -593,15 +626,15 @@ let test_grace_expiry_refused_and_replanned () =
         (fun () ->
           let fd = dial addr in
           match handshake fd ~token:test_token ~reconnect:None with
-          | NC.Rejected _ -> close_quiet fd
-          | NC.Accepted _ -> hold_tasks fd)
+          | NC.Rejected _, _ -> close_quiet fd
+          | NC.Accepted _, _ -> hold_tasks fd)
         ()
     in
     let obs =
       let fd = dial addr in
       match handshake fd ~token:test_token ~reconnect:None with
-      | NC.Rejected { reason } -> `Rejected reason
-      | NC.Accepted { wid; inputs = winputs; _ } -> (
+      | NC.Rejected { reason }, _ -> `Rejected reason
+      | NC.Accepted { wid; _ }, winputs -> (
           let tasks_seen = ref 0 in
           match
             fake_serve fd ~inputs:winputs ~drop_before_reply:(Some 1)
@@ -612,10 +645,10 @@ let test_grace_expiry_refused_and_replanned () =
               Thread.delay 0.4;
               let fd2 = dial addr in
               match handshake fd2 ~token:test_token ~reconnect:(Some wid) with
-              | NC.Rejected { reason } ->
+              | NC.Rejected { reason }, _ ->
                   close_quiet fd2;
                   `Refused reason
-              | NC.Accepted _ ->
+              | NC.Accepted _, _ ->
                   close_quiet fd2;
                   `Wrongly_resumed))
     in
@@ -655,7 +688,7 @@ let test_handshake_rejections () =
   let worker ~addr =
     (* wrong token *)
     let fd1 = dial addr in
-    let r1 = handshake fd1 ~token:"wrong" ~reconnect:None in
+    let r1, _ = handshake fd1 ~token:"wrong" ~reconnect:None in
     close_quiet fd1;
     (* wrong protocol version *)
     let fd2 = dial addr in
@@ -669,13 +702,13 @@ let test_handshake_rejections () =
     close_quiet fd2;
     (* resume of a session that never existed *)
     let fd3 = dial addr in
-    let r3 = handshake fd3 ~token:test_token ~reconnect:(Some 999) in
+    let r3, _ = handshake fd3 ~token:test_token ~reconnect:(Some 999) in
     close_quiet fd3;
     (* then a well-formed join that carries the run *)
     let fd4 = dial addr in
     match handshake fd4 ~token:test_token ~reconnect:None with
-    | NC.Rejected { reason } -> `Join_failed reason
-    | NC.Accepted { inputs = winputs; _ } ->
+    | NC.Rejected { reason }, _ -> `Join_failed reason
+    | NC.Accepted _, winputs ->
         ignore
           (fake_serve fd4 ~inputs:winputs ~drop_before_reply:None
              ~tasks_seen:(ref 0));
@@ -744,6 +777,32 @@ let prop_links_bit_identical =
           in
           let tcp = NC.run ~config:(net_config ~workers ()) ~inputs program in
           Value.equal pipe.Proc_cluster.value tcp.NC.value)
+
+(* The same, with inputs the programs never read around [xs]: the TCP
+   link ships only [xs], the pipe link inherits all three, and both
+   still agree with each other and with the interpreter. *)
+let prop_links_with_decoys =
+  QCheck.Test.make ~count:50 ~name:"pipe = TCP = interpreter, with unread inputs"
+    QCheck.(
+      pair (int_range 2 4)
+        (make ~print:Pp.to_string Dmll_testgen.Gen_ir.partitioned_program))
+    (fun (workers, program) ->
+      let inputs =
+        [ ("decoy_floats", xs_val 4096);
+          ("xs", xs_val 257);
+          ("decoy_ints", Value.of_int_array (Array.init 4096 Fun.id)) ]
+      in
+      match Interp.run ~inputs program with
+      | exception Interp.Runtime_error _ -> QCheck.assume_fail ()
+      | expected ->
+          let pipe =
+            Proc_cluster.run
+              ~config:{ Proc_cluster.default_config with workers }
+              ~inputs program
+          in
+          let tcp = NC.run ~config:(net_config ~workers ()) ~inputs program in
+          Value.equal pipe.Proc_cluster.value tcp.NC.value
+          && Value.equal expected tcp.NC.value)
 
 (* The supervision counters checked against their [<prefix>_<name>]
    metric twins, after a run whose [fired] counter must be nonzero. *)
@@ -827,14 +886,14 @@ let test_counters_match_metrics () =
         (fun () ->
           let fd = dial addr in
           match handshake fd ~token:test_token ~reconnect:None with
-          | NC.Rejected _ -> close_quiet fd
-          | NC.Accepted _ -> ignore_frames fd)
+          | NC.Rejected _, _ -> close_quiet fd
+          | NC.Accepted _, _ -> ignore_frames fd)
         ()
     in
     let fd = dial addr in
     (match handshake fd ~token:test_token ~reconnect:None with
-    | NC.Rejected _ -> close_quiet fd
-    | NC.Accepted { inputs = winputs; _ } ->
+    | NC.Rejected _, _ -> close_quiet fd
+    | NC.Accepted _, winputs ->
         ignore
           (fake_serve fd ~inputs:winputs ~drop_before_reply:None
              ~tasks_seen:(ref 0)));
@@ -848,6 +907,110 @@ let test_counters_match_metrics () =
   in
   check_twins "tcp hung" ~prefix:"net" ~fired:"deadline_kills" net_hung;
   assert_clean "counter twins" net_hung.NC.stats
+
+(* ================================================================== *)
+(* Input shipping                                                      *)
+(* ================================================================== *)
+
+(* TPC-H Q1 compiled (AoS→SoA + DFE leave seven lineitem columns read)
+   and given the AoS table as well as the columns. *)
+let q1_case ~(rows : int) : Exp.exp * (string * Value.t) list =
+  let table = Dmll_data.Tpch.generate ~rows () in
+  let c = Dmll.compile_with Dmll.Config.default (Dmll_apps.Tpch_q1.program ()) in
+  ( c.Dmll.final,
+    Dmll_apps.Tpch_q1.aos_inputs table @ Dmll_apps.Tpch_q1.soa_inputs table )
+
+let q1_read_columns =
+  List.map (fun f -> "lineitem." ^ f)
+    [ "returnflag"; "linestatus"; "quantity"; "extendedprice"; "discount";
+      "tax"; "shipdate" ]
+
+let test_only_read_inputs_shipped () =
+  let program, inputs = q1_case ~rows:500 in
+  let config =
+    { (net_config ~workers:2 ()) with
+      NC.token = Some test_token;
+      join_deadline_s = 5.0;
+    }
+  in
+  (* two hand-rolled workers join, record the input names they were
+     sent, and serve the run's chunks from exactly those inputs *)
+  let join addr =
+    let fd = dial addr in
+    match handshake fd ~token:test_token ~reconnect:None with
+    | NC.Rejected { reason }, _ ->
+        close_quiet fd;
+        Error reason
+    | NC.Accepted _, winputs ->
+        let tasks_seen = ref 0 in
+        ignore (fake_serve fd ~inputs:winputs ~drop_before_reply:None ~tasks_seen);
+        Ok (List.map fst winputs, !tasks_seen)
+  in
+  let worker ~addr =
+    let other = ref (Error "never joined") in
+    let th = Thread.create (fun () -> other := join addr) () in
+    let mine = join addr in
+    Thread.join th;
+    [ mine; !other ]
+  in
+  let r, joins = with_fake_worker ~config ~inputs worker program in
+  List.iter
+    (function
+      | Error reason -> Alcotest.failf "join rejected: %s" reason
+      | Ok (names, _) ->
+          check (Alcotest.list Alcotest.string) "the seven read columns, no AoS table"
+            (List.sort compare q1_read_columns) (List.sort compare names))
+    joins;
+  check tbool "the workers evaluated chunks" true
+    (List.exists (function Ok (_, n) -> n > 0 | Error _ -> false) joins);
+  (* the pipe link's workers inherit every input: same chunk plan, so
+     bit-identical; the interpreter sums its floats in another order *)
+  let pipe =
+    Proc_cluster.run ~inputs program
+      ~config:{ Proc_cluster.default_config with workers = 2 }
+  in
+  check value "Q1 = pipe link, bit-identical" pipe.Proc_cluster.value r.NC.value;
+  check tbool "Q1 = interpreter within 1e-6" true
+    (Value.approx_equal ~eps:1e-6 (Interp.run ~inputs program) r.NC.value)
+
+let test_handshake_bytes_ledgered () =
+  let program, inputs = q1_case ~rows:2000 in
+  let frame_bytes l = Bytes.length (Transport.encode_frame l) in
+  let read = List.filter (fun (n, _) -> List.mem n q1_read_columns) inputs in
+  let tracer = Dmll_obs.Span.create () in
+  let r =
+    NC.run ~inputs program
+      ~config:{ (net_config ~workers:2 ()) with NC.obs = Some tracer }
+  in
+  check tbool "Q1 = interpreter within 1e-6" true
+    (Value.approx_equal ~eps:1e-6 (Interp.run ~inputs program) r.NC.value);
+  let connects = r.NC.stats.NC.connects in
+  check tint "both slots joined once" 2 connects;
+  let bytes_out =
+    Option.value ~default:0.0
+      (List.assoc_opt "net_bytes_out" (Dmll_obs.Metrics.byte_counters r.NC.metrics))
+  in
+  check tbool "every join's read inputs are ledgered" true
+    (bytes_out >= float_of_int (connects * frame_bytes read));
+  check tbool "the unread AoS table never crossed" true
+    (bytes_out < float_of_int (connects * frame_bytes inputs));
+  let welcomes =
+    List.filter
+      (fun (s : Dmll_obs.Span.span) -> s.name = "net-welcome")
+      (Dmll_obs.Span.spans tracer)
+  in
+  check tint "one net-welcome span per join" connects (List.length welcomes);
+  List.iter
+    (fun (s : Dmll_obs.Span.span) ->
+      let arg k = List.assoc k s.args in
+      check tbool "seven of eight inputs shipped" true
+        (arg "inputs_shipped" = Dmll_obs.Span.Int 7
+        && arg "inputs_total" = Dmll_obs.Span.Int 8);
+      check tbool "welcome bytes cover the input frame" true
+        (match arg "bytes" with
+        | Dmll_obs.Span.Int b -> b > frame_bytes read
+        | _ -> false))
+    welcomes
 
 (* ---------------- runner ---------------- *)
 
@@ -866,6 +1029,8 @@ let () =
             test_insane_length_rejected;
           Alcotest.test_case "deadline edge is inclusive" `Quick
             test_deadline_edge_inclusive;
+          Alcotest.test_case "sliced CRC32 = bytewise CRC32" `Quick
+            test_crc32_matches_bytewise;
         ] );
       ( "healthy",
         [ Alcotest.test_case "bit-identical, fds restored, bytes ledgered"
@@ -897,5 +1062,14 @@ let () =
             prop_links_bit_identical;
           Alcotest.test_case "supervision counters match their metrics"
             `Quick test_counters_match_metrics;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 20261016 |])
+            prop_links_with_decoys;
+        ] );
+      ( "shipping",
+        [ Alcotest.test_case "a joiner receives only the read inputs" `Quick
+            test_only_read_inputs_shipped;
+          Alcotest.test_case "handshake bytes are ledgered" `Quick
+            test_handshake_bytes_ledgered;
         ] );
     ]
