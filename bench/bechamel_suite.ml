@@ -1,8 +1,9 @@
 (* Bechamel micro-benchmarks: one Test.make per paper table/figure family,
    measuring the REAL kernels behind each experiment with OLS regression
-   over monotonic-clock samples.  The DMLL side here is the IN-PROCESS
-   closure backend (bechamel needs re-runnable thunks); the native-backend
-   comparison lives in Table 2.  Enabled with `bench/main.exe --bechamel`. *)
+   over monotonic-clock and minor-allocation samples (ns/run and
+   words/run).  The DMLL side here is the IN-PROCESS closure backend
+   (bechamel needs re-runnable thunks); the native-backend comparison
+   lives in Table 2.  Enabled with `bench/main.exe --bechamel`. *)
 
 open Bechamel
 open Toolkit
@@ -67,7 +68,7 @@ let tests () =
 
 let run () =
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-  let instances = Instance.[ monotonic_clock ] in
+  let instances = Instance.[ monotonic_clock; minor_allocated ] in
   let raw =
     Benchmark.all cfg instances
       (Test.make_grouped ~name:"dmll" ~fmt:"%s %s" (tests ()))
@@ -75,21 +76,29 @@ let run () =
   let ols =
     Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
   in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
+  let times = Analyze.all ols Instance.monotonic_clock raw in
+  let words = Analyze.all ols Instance.minor_allocated raw in
+  let estimate results name =
+    match Option.map Analyze.OLS.estimates (Hashtbl.find_opt results name) with
+    | Some (Some (e :: _)) -> e
+    | _ -> nan
+  in
   let tbl =
-    Dmll_util.Table.create ~title:"Bechamel micro-benchmarks (monotonic clock, OLS)"
-      ~header:[ "Benchmark"; "ns/run"; "R^2" ]
-      ~aligns:Dmll_util.Table.[ Left; Right; Right ]
+    Dmll_util.Table.create
+      ~title:"Bechamel micro-benchmarks (monotonic clock + minor words, OLS)"
+      ~header:[ "Benchmark"; "ns/run"; "words/run"; "R^2 (time)" ]
+      ~aligns:Dmll_util.Table.[ Left; Right; Right; Right ]
       ()
   in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
+  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) times [] in
   List.iter
     (fun (name, ols) ->
-      let est =
-        match Analyze.OLS.estimates ols with Some (e :: _) -> e | _ -> nan
-      in
       let r2 = match Analyze.OLS.r_square ols with Some r -> r | None -> nan in
       Dmll_util.Table.add_row tbl
-        [ name; Printf.sprintf "%.0f" est; Printf.sprintf "%.4f" r2 ])
+        [ name;
+          Printf.sprintf "%.0f" (estimate times name);
+          Printf.sprintf "%.0f" (estimate words name);
+          Printf.sprintf "%.4f" r2;
+        ])
     (List.sort compare rows);
   Dmll_util.Table.print tbl

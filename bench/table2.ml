@@ -5,9 +5,10 @@
    the fully optimized program through the closure backend (compiled once,
    run [runs] times, median), the reference is the direct OCaml
    implementation in Dmll_apps/Dmll_graph.  The paper's C++ gap was <=25%;
-   ours additionally pays one indirect call per IR node (see DESIGN.md §2
-   and EXPERIMENTS.md), so the expected gap is larger but the asymptotics
-   — one fused traversal, unboxed storage — are the same. *)
+   the closure backend additionally pays one indirect call per residual
+   IR node that does not fold into its consumer (see DESIGN.md §2 and
+   EXPERIMENTS.md), so its gap is larger, but the asymptotics — one fused
+   traversal, unboxed storage — are the same. *)
 
 module V = Dmll_interp.Value
 module T = Dmll_util.Table

@@ -7,11 +7,21 @@
     - a fused multiloop compiles to a {e single} traversal;
     - [Float]/[Int] arrays use unboxed [float array]/[int array] storage
       (the runtime face of AoS→SoA);
-    - scalar expressions evaluate through monomorphic [frame -> float] /
-      [frame -> int] closures — no boxing in inner loops — with composite
-      fast paths for the hot shapes a native backend gets for free:
-      affine subscripts ([i*c + j]), constant operands, array reads at
-      slot-resolved bases;
+    - floats never cross a closure return.  A float expression compiles,
+      destination-passing style, to a [frame -> unit] step that writes its
+      result into a float register of the frame ([fr.fs.(d)]): a
+      [Let]-bound float writes its symbol's slot, every other node a
+      temporary allocated at compile time, and constants are preloaded
+      into registers of their own.  The consumer of a float (a binop,
+      compare, store, reduce, collect) reads the register;
+    - three operand kinds are read {e inline} by the node that consumes
+      them, with no call of their own: float registers, constants, and a
+      [Read] of an obj-slot/input array at an affine subscript
+      [((v + o) * c) + w] (which covers [i], [i*c + j] and the
+      [(ci + lo)*c + j] of a chunked loop);
+    - float ops are applied through one inline op table, and reductions
+      keep their accumulator in an unboxed local (or a one-cell float
+      array when it must outlive a step);
     - argmin/argmax reductions over (value, index) tuples run on unboxed
       accumulators;
     - vector (elementwise-add) reductions accumulate {e in place}, fusing
@@ -22,7 +32,10 @@
       hash probe per iteration through a {e slot registry}.
 
     The remaining gap to hand-written OCaml is one indirect call per
-    residual IR node, reported honestly in EXPERIMENTS.md.
+    residual float node that is not an inline operand, plus the boxed
+    [V.t] values of the generic paths (tuples, bucket keys), reported in
+    EXPERIMENTS.md.  Int and bool expressions still compile to
+    [frame -> int]/[frame -> bool] closures, which return unboxed.
 
     Concurrency: compiled objects carry private mutable generator state —
     compile per domain (as [Dmll_runtime.Evalenv] does), never share one
@@ -51,13 +64,39 @@ let kind_of_ty = function
 type ctx = {
   slots : (kind * int) Sym.Tbl.t;
   inputs : (string, int) Hashtbl.t;  (** input name -> obj slot *)
+  fconsts : (int64, int) Hashtbl.t;  (** float constant bits -> register *)
+  mutable izero : int;  (** an int slot never written (reads 0), or -1 *)
   mutable nf : int;
   mutable ni : int;
   mutable no : int;
 }
 
 let new_ctx () =
-  { slots = Sym.Tbl.create 64; inputs = Hashtbl.create 8; nf = 0; ni = 0; no = 0 }
+  { slots = Sym.Tbl.create 64; inputs = Hashtbl.create 8; fconsts = Hashtbl.create 8;
+    izero = -1; nf = 0; ni = 0; no = 0 }
+
+(* A float temporary: a register of its own, written by one compiled node. *)
+let fresh_freg ctx =
+  ctx.nf <- ctx.nf + 1;
+  ctx.nf - 1
+
+(* The register holding constant [f], preloaded by [make_frame]; keyed by
+   bits so that [-0.0] and NaN payloads keep their own registers. *)
+let const_freg ctx f =
+  let bits = Int64.bits_of_float f in
+  match Hashtbl.find_opt ctx.fconsts bits with
+  | Some k -> k
+  | None ->
+      let k = fresh_freg ctx in
+      Hashtbl.add ctx.fconsts bits k;
+      k
+
+let zero_ireg ctx =
+  if ctx.izero < 0 then begin
+    ctx.ni <- ctx.ni + 1;
+    ctx.izero <- ctx.ni - 1
+  end;
+  ctx.izero
 
 let alloc_slot ctx (s : Sym.t) : kind * int =
   match Sym.Tbl.find_opt ctx.slots s with
@@ -66,9 +105,7 @@ let alloc_slot ctx (s : Sym.t) : kind * int =
       let k = kind_of_ty (Sym.ty s) in
       let idx =
         match k with
-        | Kf ->
-            ctx.nf <- ctx.nf + 1;
-            ctx.nf - 1
+        | Kf -> fresh_freg ctx
         | Ki ->
             ctx.ni <- ctx.ni + 1;
             ctx.ni - 1
@@ -109,12 +146,14 @@ module Fbuf = struct
 
   let create () = { a = Array.make 16 0.0; n = 0 }
 
-  let push t x =
-    if t.n = Array.length t.a then begin
-      let a' = Array.make (2 * t.n) 0.0 in
-      Array.blit t.a 0 a' 0 t.n;
-      t.a <- a'
-    end;
+  let grow t =
+    let a' = Array.make (2 * t.n) 0.0 in
+    Array.blit t.a 0 a' 0 t.n;
+    t.a <- a'
+
+  (* inlined so that [x] reaches the array unboxed *)
+  let[@inline] push t x =
+    if t.n = Array.length t.a then grow t;
     t.a.(t.n) <- x;
     t.n <- t.n + 1
 
@@ -212,151 +251,327 @@ let registry_slot (r : registry) (fr : frame) : int =
   r.cur_slot
 
 (* ------------------------------------------------------------------ *)
-(* Scalar compilation                                                  *)
+(* Float registers and inline operands                                 *)
 (* ------------------------------------------------------------------ *)
 
 open Exp
 
-let rec comp_f ctx (e : exp) : frame -> float =
-  match e with
-  | Const (Cfloat f) -> fun _ -> f
-  | Var s -> (
-      match slot ctx s with
-      | Kf, k -> fun fr -> fr.fs.(k)
-      | Ko, k -> fun fr -> V.as_float fr.os.(k)
-      | Ki, _ -> fail "float variable in int slot: %a" Sym.pp s)
-  | Prim (p, [ a; b ]) -> (
-      let bin op =
-        match (a, b) with
-        | _, Const (Cfloat c) ->
-            let ca = comp_f ctx a in
-            fun fr -> op (ca fr) c
-        | Const (Cfloat c), _ ->
-            let cb = comp_f ctx b in
-            fun fr -> op c (cb fr)
-        | _ ->
-            let ca = comp_f ctx a and cb = comp_f ctx b in
-            fun fr -> op (ca fr) (cb fr)
-      in
-      match p with
-      | Prim.Fadd -> bin ( +. )
-      | Fsub -> bin ( -. )
-      | Fmul -> bin ( *. )
-      | Fdiv -> bin ( /. )
-      | Fmin -> bin Float.min
-      | Fmax -> bin Float.max
-      | Pow -> bin ( ** )
-      | _ -> comp_f_generic ctx e)
-  | Prim (Prim.Fneg, [ a ]) ->
-      let ca = comp_f ctx a in
-      fun fr -> -.ca fr
-  | Prim (Prim.Sqrt, [ a ]) ->
-      let ca = comp_f ctx a in
-      fun fr -> sqrt (ca fr)
-  | Prim (Prim.Exp, [ a ]) ->
-      let ca = comp_f ctx a in
-      fun fr -> exp (ca fr)
-  | Prim (Prim.Log, [ a ]) ->
-      let ca = comp_f ctx a in
-      fun fr -> log (ca fr)
-  | Prim (Prim.Fabs, [ a ]) ->
-      let ca = comp_f ctx a in
-      fun fr -> Float.abs (ca fr)
-  | Prim (Prim.I2f, [ a ]) ->
-      let ca = comp_i ctx a in
-      fun fr -> float_of_int (ca fr)
-  | If (c, t, f) ->
-      let cc = comp_b ctx c and ct = comp_f ctx t and cf = comp_f ctx f in
-      fun fr -> if cc fr then ct fr else cf fr
-  | Let (s, bound, body) ->
-      let store = comp_store ctx s bound in
-      let cb = comp_f ctx body in
-      fun fr ->
-        store fr;
-        cb fr
-  | Read (arr, ix) -> (
-      let ci = comp_i ctx ix in
-      match base_obj_slot ctx arr with
-      | Some k ->
-          fun fr -> (
-            match fr.os.(k) with
-            | V.Varr (V.Fa a) -> a.(ci fr)
-            | v -> V.as_float (V.get v (ci fr)))
-      | None ->
-          let ca = comp_v ctx arr in
-          fun fr -> (
-            match ca fr with
-            | V.Varr (V.Fa a) -> a.(ci fr)
-            | v -> V.as_float (V.get v (ci fr))))
-  | Loop { size; idx; gens = [ Reduce r ] } when Types.equal (tyof e) Types.Float ->
-      comp_float_reduce ctx ~size ~idx r
-  | _ -> comp_f_generic ctx e
+let nop (_ : frame) = ()
 
-and comp_f_generic ctx e =
-  let cv = comp_v ctx e in
-  fun fr -> V.as_float (cv fr)
+(* Run [steps] in order. *)
+let seq_steps = function
+  | [] -> nop
+  | [ s ] -> s
+  | steps ->
+      let a = Array.of_list steps in
+      fun fr ->
+        for i = 0 to Array.length a - 1 do
+          a.(i) fr
+        done
+
+(* Run the operand preparations [pres] in order, then [core]. *)
+let with_pre (pres : (frame -> unit) option list) (core : frame -> 'a) : frame -> 'a =
+  match List.filter_map Fun.id pres with
+  | [] -> core
+  | [ p ] ->
+      fun fr ->
+        p fr;
+        core fr
+  | [ p; q ] ->
+      fun fr ->
+        p fr;
+        q fr;
+        core fr
+  | ps -> List.fold_right (fun p k fr -> p fr; k fr) ps core
+
+(* The inline op tables: one match on the IR op, inlined into each
+   consumer, so that operands and results stay unboxed. *)
+let is_fbin = function
+  | Prim.Fadd | Fsub | Fmul | Fdiv | Fmin | Fmax | Pow -> true
+  | _ -> false
+
+let[@inline] fbin (p : Prim.t) (x : float) (y : float) : float =
+  match p with
+  | Prim.Fadd -> x +. y
+  | Fsub -> x -. y
+  | Fmul -> x *. y
+  | Fdiv -> x /. y
+  | Fmin -> Float.min x y
+  | Fmax -> Float.max x y
+  | Pow -> x ** y
+  | _ -> assert false
+
+let[@inline] fun1 (p : Prim.t) (x : float) : float =
+  match p with
+  | Prim.Fneg -> -.x
+  | Sqrt -> sqrt x
+  | Exp -> exp x
+  | Log -> log x
+  | Fabs -> Float.abs x
+  | _ -> assert false
+
+(* Float comparisons keep [compare] semantics (NaN equals itself and sorts
+   below every other float), as the interpreter does. *)
+let[@inline] fcmp (p : Prim.t) (x : float) (y : float) : bool =
+  match p with
+  | Prim.Eq -> compare x y = 0
+  | Ne -> compare x y <> 0
+  | Lt -> compare x y < 0
+  | Le -> compare x y <= 0
+  | Gt -> compare x y > 0
+  | Ge -> compare x y >= 0
+  | _ -> assert false
+
+(* A reduction function [a op b] over the binders, as an op-table entry. *)
+let direct_fop ~(a : Sym.t) ~(b : Sym.t) (rfun : exp) : Prim.t option =
+  match rfun with
+  | Prim (p, [ Var x; Var y ]) when is_fbin p && Sym.equal x a && Sym.equal y b -> Some p
+  | _ -> None
+
+(* Element [i] of a non-[Fa] array, as a one-cell float array. *)
+let boxed_elt v i = [| V.as_float (V.get v i) |]
+
+(* The inline read [arr.(((v + o) * c) + w)] of the array in obj slot [ka].
+   Both branches end in a float-array load, so the compiler keeps the
+   result unboxed wherever it is let-bound (a plain call in the fallback
+   would box it on the fast path too). *)
+let[@inline] rd fr ka kv o c kw =
+  let i = ((fr.is.(kv) + o) * c) + fr.is.(kw) in
+  match fr.os.(ka) with
+  | V.Varr (V.Fa a) -> a.(i)
+  | v -> (boxed_elt v i).(0)
+
+(* Where a consumer reads a float operand, inline. *)
+type fsrc =
+  | Reg of int  (** [fr.fs.(k)]: a symbol, temporary or constant register *)
+  | Rd of { ka : int; kv : int; o : int; c : int; kw : int }  (** [rd] *)
+
+(* A compiled operand: [pre] (when present) runs first and fills the
+   register that [src] reads. *)
+type fopnd = { pre : (frame -> unit) option; src : fsrc }
 
 (* The obj slot holding an array-valued base expression, when it is a
    variable or input (the overwhelmingly common case after optimization). *)
-and base_obj_slot ctx (e : exp) : int option =
+let base_obj_slot ctx (e : exp) : int option =
   match e with
   | Var s -> ( match slot ctx s with Ko, k -> Some k | _ -> None)
   | Input (name, _, _) -> Some (input_slot ctx name)
   | _ -> None
 
-(* A float Reduce loop compiled to a tight accumulator loop. *)
-and comp_float_reduce ctx ~size ~idx (r : reduce_gen) : frame -> float =
-  let _, kidx = alloc_slot ctx idx in
-  let cn = comp_i ctx size in
-  let cinit = comp_f ctx r.init in
-  let cv = comp_f ctx r.value in
-  let ccond = Option.map (comp_b ctx) r.cond in
-  let direct : (float -> float -> float) option =
-    match r.rfun with
-    | Prim (p, [ Var x; Var y ]) when Sym.equal x r.a && Sym.equal y r.b -> (
-        match p with
-        | Prim.Fadd -> Some ( +. )
-        | Fmul -> Some ( *. )
-        | Fmin -> Some Float.min
-        | Fmax -> Some Float.max
-        | _ -> None)
+(* An int subscript [((v + o) * c) + w] with [v], [w] int slots and [o],
+   [c] constants; [o] defaults to 0, [c] to 1 and [w] to a slot that reads
+   0.  Returns [(kv, o, c, kw)]. *)
+let affine ctx (ix : exp) : (int * int * int * int) option =
+  let ireg s = match slot ctx s with Ki, k -> Some k | _ -> None in
+  let shifted = function
+    | Var v -> Option.map (fun k -> (k, 0)) (ireg v)
+    | Prim (Prim.Add, [ Var v; Const (Cint o) ]) | Prim (Prim.Add, [ Const (Cint o); Var v ])
+      ->
+        Option.map (fun k -> (k, o)) (ireg v)
     | _ -> None
   in
-  match (direct, ccond) with
-  | Some op, None ->
+  let scaled = function
+    | Prim (Prim.Mul, [ e; Const (Cint c) ]) | Prim (Prim.Mul, [ Const (Cint c); e ]) ->
+        Option.map (fun (k, o) -> (k, o, c)) (shifted e)
+    | e -> Option.map (fun (k, o) -> (k, o, 1)) (shifted e)
+  in
+  let plus e w =
+    match (w, scaled e) with
+    | Var w, Some (kv, o, c) -> Option.map (fun kw -> (kv, o, c, kw)) (ireg w)
+    | _ -> None
+  in
+  let summed =
+    match ix with
+    | Prim (Prim.Add, [ a; b ]) -> ( match plus a b with Some _ as r -> r | None -> plus b a)
+    | _ -> None
+  in
+  match summed with
+  | Some _ -> summed
+  | None -> Option.map (fun (kv, o, c) -> (kv, o, c, zero_ireg ctx)) (scaled ix)
+
+(* ------------------------------------------------------------------ *)
+(* Scalar compilation                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* How a consumer reads float [e]: registers, constants and affine reads
+   fold inline; anything else is computed into a fresh temporary. *)
+let rec comp_fsrc ctx (e : exp) : fopnd =
+  match e with
+  | Const (Cfloat f) -> { pre = None; src = Reg (const_freg ctx f) }
+  | Var s -> (
+      match slot ctx s with
+      | Kf, k -> { pre = None; src = Reg k }
+      | _ -> into_temp ctx e)
+  | Read (arr, ix) -> (
+      match base_obj_slot ctx arr with
+      | Some ka -> (
+          match affine ctx ix with
+          | Some (kv, o, c, kw) -> { pre = None; src = Rd { ka; kv; o; c; kw } }
+          | None -> into_temp ctx e)
+      | None -> into_temp ctx e)
+  | _ -> into_temp ctx e
+
+and into_temp ctx e =
+  let t = fresh_freg ctx in
+  { pre = Some (comp_fd ctx e t); src = Reg t }
+
+(* An operand of [e] (compiled by [comp_fsrc]) as a register: run the
+   returned step, then read [fr.fs.(k)]. *)
+and freg_of ctx (e : exp) (v : fopnd) : (frame -> unit) * int =
+  match v with
+  | { pre; src = Reg k } -> (Option.value pre ~default:nop, k)
+  | { src = Rd _; _ } ->
+      let t = fresh_freg ctx in
+      (comp_fd ctx e t, t)
+
+and comp_freg ctx e = freg_of ctx e (comp_fsrc ctx e)
+
+(* Compile float [e] to a step that writes its value into register [d]. *)
+and comp_fd ctx (e : exp) (d : int) : frame -> unit =
+  match e with
+  | Const (Cfloat f) -> fun fr -> fr.fs.(d) <- f
+  | Var s -> (
+      match slot ctx s with
+      | Kf, k -> fun fr -> fr.fs.(d) <- fr.fs.(k)
+      | Ko, k -> fun fr -> fr.fs.(d) <- V.as_float fr.os.(k)
+      | Ki, _ -> fail "float variable in int slot: %a" Sym.pp s)
+  | Prim (p, [ a; b ]) when is_fbin p -> comp_fbin ctx p a b d
+  | Prim ((Prim.Fneg | Sqrt | Exp | Log | Fabs) as p, [ a ]) ->
+      let { pre; src } = comp_fsrc ctx a in
+      with_pre [ pre ]
+        (match src with
+        | Reg x -> fun fr -> fr.fs.(d) <- fun1 p fr.fs.(x)
+        | Rd { ka; kv; o; c; kw } -> fun fr -> fr.fs.(d) <- fun1 p (rd fr ka kv o c kw))
+  | Prim (Prim.I2f, [ a ]) ->
+      let ca = comp_i ctx a in
+      fun fr -> fr.fs.(d) <- float_of_int (ca fr)
+  | Prim (p, args) ->
+      (* other float-valued prims: evaluate boxed *)
+      let cs = List.map (comp_v ctx) args in
       fun fr ->
-        let n = cn fr in
-        let acc = ref (cinit fr) in
-        for i = 0 to n - 1 do
-          fr.is.(kidx) <- i;
-          acc := op !acc (cv fr)
-        done;
-        !acc
-  | Some op, Some cc ->
+        fr.fs.(d) <- V.as_float (Dmll_interp.Interp.eval_prim p (List.map (fun c -> c fr) cs))
+  | If (c, t, f) ->
+      let cc = comp_b ctx c and ct = comp_fd ctx t d and cf = comp_fd ctx f d in
+      fun fr -> if cc fr then ct fr else cf fr
+  | Let (s, bound, body) ->
+      let store = comp_store ctx s bound in
+      let cb = comp_fd ctx body d in
       fun fr ->
-        let n = cn fr in
-        let acc = ref (cinit fr) in
-        for i = 0 to n - 1 do
-          fr.is.(kidx) <- i;
-          if cc fr then acc := op !acc (cv fr)
-        done;
-        !acc
-  | None, _ ->
+        store fr;
+        cb fr
+  | Read (arr, ix) -> (
+      match (base_obj_slot ctx arr, affine ctx ix) with
+      | Some ka, Some (kv, o, c, kw) -> fun fr -> fr.fs.(d) <- rd fr ka kv o c kw
+      | Some ka, None ->
+          let ci = comp_i ctx ix in
+          fun fr ->
+            let i = ci fr in
+            fr.fs.(d) <-
+              (match fr.os.(ka) with
+              | V.Varr (V.Fa a) -> a.(i)
+              | v -> V.as_float (V.get v i))
+      | None, _ ->
+          let ca = comp_v ctx arr and ci = comp_i ctx ix in
+          fun fr ->
+            let i = ci fr in
+            fr.fs.(d) <-
+              (match ca fr with
+              | V.Varr (V.Fa a) -> a.(i)
+              | v -> V.as_float (V.get v i)))
+  | Loop { size; idx; gens = [ Reduce r ] } when Types.equal (tyof e) Types.Float ->
+      comp_float_reduce ctx ~size ~idx r d
+  | _ ->
+      let cv = comp_v ctx e in
+      fun fr -> fr.fs.(d) <- V.as_float (cv fr)
+
+and comp_fbin ctx p a b d =
+  let { pre = pa; src = sa } = comp_fsrc ctx a in
+  let { pre = pb; src = sb } = comp_fsrc ctx b in
+  with_pre [ pa; pb ]
+    (match (sa, sb) with
+    | Reg x, Reg y -> fun fr -> fr.fs.(d) <- fbin p fr.fs.(x) fr.fs.(y)
+    | Reg x, Rd { ka; kv; o; c; kw } ->
+        fun fr -> fr.fs.(d) <- fbin p fr.fs.(x) (rd fr ka kv o c kw)
+    | Rd { ka; kv; o; c; kw }, Reg y ->
+        fun fr -> fr.fs.(d) <- fbin p (rd fr ka kv o c kw) fr.fs.(y)
+    | Rd { ka; kv; o; c; kw }, Rd r ->
+        let ka' = r.ka and kv' = r.kv and o' = r.o and c' = r.c and kw' = r.kw in
+        fun fr -> fr.fs.(d) <- fbin p (rd fr ka kv o c kw) (rd fr ka' kv' o' c' kw'))
+
+(* The boxing adapter, for where a float becomes a [V.t] anyway (a
+   [comp_v] result, a registry key): one box per evaluation. *)
+and comp_f ctx e : frame -> V.t =
+  let p, k = comp_freg ctx e in
+  fun fr ->
+    p fr;
+    V.Vfloat fr.fs.(k)
+
+(* A float Reduce loop: the accumulator is an unboxed local, written to
+   [d] once the loop ends. *)
+and comp_float_reduce ctx ~size ~idx (r : reduce_gen) (d : int) : frame -> unit =
+  let _, kidx = alloc_slot ctx idx in
+  let cn = comp_i ctx size in
+  let pinit, kinit = comp_freg ctx r.init in
+  let ccond = Option.map (comp_b ctx) r.cond in
+  match direct_fop ~a:r.a ~b:r.b r.rfun with
+  | Some op -> (
+      match (ccond, comp_fsrc ctx r.value) with
+      | None, { pre = None; src = Rd { ka; kv; o; c; kw } } ->
+          fun fr ->
+            let n = cn fr in
+            pinit fr;
+            let acc = ref fr.fs.(kinit) in
+            for i = 0 to n - 1 do
+              fr.is.(kidx) <- i;
+              acc := fbin op !acc (rd fr ka kv o c kw)
+            done;
+            fr.fs.(d) <- !acc
+      | None, v ->
+          let pv, kv = freg_of ctx r.value v in
+          fun fr ->
+            let n = cn fr in
+            pinit fr;
+            let acc = ref fr.fs.(kinit) in
+            for i = 0 to n - 1 do
+              fr.is.(kidx) <- i;
+              pv fr;
+              acc := fbin op !acc fr.fs.(kv)
+            done;
+            fr.fs.(d) <- !acc
+      | Some cc, v ->
+          let pv, kv = freg_of ctx r.value v in
+          fun fr ->
+            let n = cn fr in
+            pinit fr;
+            let acc = ref fr.fs.(kinit) in
+            for i = 0 to n - 1 do
+              fr.is.(kidx) <- i;
+              if cc fr then begin
+                pv fr;
+                acc := fbin op !acc fr.fs.(kv)
+              end
+            done;
+            fr.fs.(d) <- !acc)
+  | None ->
+      (* general reduction function: the accumulator lives in [a]'s
+         register, the value is written straight into [b]'s *)
       let _, ka = alloc_slot ctx r.a and _, kb = alloc_slot ctx r.b in
-      let cr = comp_f ctx r.rfun in
+      let sv = comp_fd ctx r.value kb in
+      let pr, kr = comp_freg ctx r.rfun in
       fun fr ->
         let n = cn fr in
-        let acc = ref (cinit fr) in
+        pinit fr;
+        fr.fs.(ka) <- fr.fs.(kinit);
         for i = 0 to n - 1 do
           fr.is.(kidx) <- i;
           let pass = match ccond with None -> true | Some cc -> cc fr in
           if pass then begin
-            fr.fs.(ka) <- !acc;
-            fr.fs.(kb) <- cv fr;
-            acc := cr fr
+            sv fr;
+            pr fr;
+            fr.fs.(ka) <- fr.fs.(kr)
           end
         done;
-        !acc
+        fr.fs.(d) <- fr.fs.(ka)
 
 and comp_i ctx (e : exp) : frame -> int =
   match e with
@@ -424,8 +639,10 @@ and comp_i ctx (e : exp) : frame -> int =
       let ca = comp_i ctx a in
       fun fr -> -ca fr
   | Prim (Prim.F2i, [ a ]) ->
-      let ca = comp_f ctx a in
-      fun fr -> int_of_float (ca fr)
+      let pa, ka = comp_freg ctx a in
+      fun fr ->
+        pa fr;
+        int_of_float fr.fs.(ka)
   | Prim (Prim.Strlen, [ a ]) ->
       let ca = comp_v ctx a in
       fun fr -> String.length (V.as_str (ca fr))
@@ -539,16 +756,19 @@ and comp_b ctx (e : exp) : frame -> bool =
           | Gt -> fun fr -> ca fr > cb fr
           | Ge -> fun fr -> ca fr >= cb fr
           | _ -> assert false)
-      | Types.Float -> (
-          let ca = comp_f ctx a and cb = comp_f ctx b in
-          match p with
-          | Prim.Eq -> fun fr -> compare (ca fr) (cb fr) = 0
-          | Ne -> fun fr -> compare (ca fr) (cb fr) <> 0
-          | Lt -> fun fr -> compare (ca fr) (cb fr) < 0
-          | Le -> fun fr -> compare (ca fr) (cb fr) <= 0
-          | Gt -> fun fr -> compare (ca fr) (cb fr) > 0
-          | Ge -> fun fr -> compare (ca fr) (cb fr) >= 0
-          | _ -> assert false)
+      | Types.Float ->
+          let { pre = pa; src = sa } = comp_fsrc ctx a in
+          let { pre = pb; src = sb } = comp_fsrc ctx b in
+          with_pre [ pa; pb ]
+            (match (sa, sb) with
+            | Reg x, Reg y -> fun fr -> fcmp p fr.fs.(x) fr.fs.(y)
+            | Reg x, Rd { ka; kv; o; c; kw } ->
+                fun fr -> fcmp p fr.fs.(x) (rd fr ka kv o c kw)
+            | Rd { ka; kv; o; c; kw }, Reg y ->
+                fun fr -> fcmp p (rd fr ka kv o c kw) fr.fs.(y)
+            | Rd { ka; kv; o; c; kw }, Rd r ->
+                let ka' = r.ka and kv' = r.kv and o' = r.o and c' = r.c and kw' = r.kw in
+                fun fr -> fcmp p (rd fr ka kv o c kw) (rd fr ka' kv' o' c' kw'))
       | _ -> (
           let ca = comp_v ctx a and cb = comp_v ctx b in
           let cmp_of : int -> bool =
@@ -587,9 +807,7 @@ and comp_b ctx (e : exp) : frame -> bool =
 (* Compile [bound] and store it into [s]'s slot. *)
 and comp_store ctx (s : Sym.t) (bound : exp) : frame -> unit =
   match alloc_slot ctx s with
-  | Kf, k ->
-      let cb = comp_f ctx bound in
-      fun fr -> fr.fs.(k) <- cb fr
+  | Kf, k -> comp_fd ctx bound k
   | Ki, k -> (
       match Sym.ty s with
       | Types.Bool ->
@@ -611,7 +829,9 @@ and comp_v ctx (e : exp) : frame -> V.t =
   | Const Cunit -> fun _ -> V.Vunit
   | Const (Cbool b) -> fun _ -> V.Vbool b
   | Const (Cint i) -> fun _ -> V.Vint i
-  | Const (Cfloat f) -> fun _ -> V.Vfloat f
+  | Const (Cfloat f) ->
+      let v = V.Vfloat f in
+      fun _ -> v
   | Const (Cstr s) -> fun _ -> V.Vstr s
   | Var s -> (
       match slot ctx s with
@@ -626,9 +846,7 @@ and comp_v ctx (e : exp) : frame -> V.t =
       fun fr -> fr.os.(k)
   | If (c, t, f) -> (
       match tyof e with
-      | Types.Float ->
-          let cf = comp_f ctx e in
-          fun fr -> V.Vfloat (cf fr)
+      | Types.Float -> comp_f ctx e
       | Types.Int ->
           let ci = comp_i ctx e in
           fun fr -> V.Vint (ci fr)
@@ -640,9 +858,7 @@ and comp_v ctx (e : exp) : frame -> V.t =
           fun fr -> if cc fr then ct fr else cf fr)
   | Prim (p, args) -> (
       match tyof e with
-      | Types.Float ->
-          let cf = comp_f ctx e in
-          fun fr -> V.Vfloat (cf fr)
+      | Types.Float -> comp_f ctx e
       | Types.Int ->
           let ci = comp_i ctx e in
           fun fr -> V.Vint (ci fr)
@@ -713,6 +929,7 @@ and comp_v ctx (e : exp) : frame -> V.t =
         match Hashtbl.find_opt Dmll_interp.Interp.extern_registry ename with
         | Some f -> f (List.map (fun c -> c fr) cs)
         | None -> fail "unregistered extern %s" ename)
+  | Loop { gens = [ Reduce _ ]; _ } when Types.equal (tyof e) Types.Float -> comp_f ctx e
   | Loop l -> comp_loop ctx l
 
 (* ------------------------------------------------------------------ *)
@@ -737,14 +954,15 @@ and comp_collect ctx ~cond ~value =
   match (tyof value, cond) with
   | Types.Float, None ->
       (* exact-size unboxed fill *)
-      let cv = comp_f ctx value in
+      let pv, kv = comp_freg ctx value in
       let out = ref [||] in
       let k = ref 0 in
       ( (fun _ n ->
           out := Array.make n 0.0;
           k := 0),
         (fun fr ->
-          !out.(!k) <- cv fr;
+          pv fr;
+          !out.(!k) <- fr.fs.(kv);
           incr k),
         fun () -> V.Varr (V.Fa !out) )
   | Types.Int, None ->
@@ -760,10 +978,14 @@ and comp_collect ctx ~cond ~value =
         fun () -> V.Varr (V.Ia !out) )
   | Types.Float, Some c ->
       let cc = comp_b ctx c in
-      let cv = comp_f ctx value in
+      let pv, kv = comp_freg ctx value in
       let buf = ref (Fbuf.create ()) in
       ( (fun _ _ -> buf := Fbuf.create ()),
-        (fun fr -> if cc fr then Fbuf.push !buf (cv fr)),
+        (fun fr ->
+          if cc fr then begin
+            pv fr;
+            Fbuf.push !buf fr.fs.(kv)
+          end),
         fun () -> V.Varr (V.Fa (Fbuf.contents !buf)) )
   | Types.Int, Some c ->
       let cc = comp_b ctx c in
@@ -798,8 +1020,8 @@ and is_vec_fadd_rfun ~(a : Sym.t) ~(b : Sym.t) (rfun : exp) : bool =
       | _ -> false)
   | _ -> false
 
-(* Peel leading Lets from a value expression, returning the stores and the
-   residue (for fusing vector-reduce values through code-motion lets). *)
+(* Peel leading Lets from a value expression, returning their stores and
+   the residue (for fusing reduce values through code-motion lets). *)
 and peel_lets ctx (e : exp) : (frame -> unit) list * exp =
   match e with
   | Let (s, bound, body) ->
@@ -807,6 +1029,25 @@ and peel_lets ctx (e : exp) : (frame -> unit) list * exp =
       let stores, residue = peel_lets ctx body in
       (store :: stores, residue)
   | _ -> ([], e)
+
+(* The fused vector-add body: [a.(j) <- a.(j) +. ev] for [j < n], with the
+   element read inline when it is an affine read. *)
+and comp_vec_accum ctx ~(kj : int) (ev : exp) : frame -> float array -> int -> unit =
+  match comp_fsrc ctx ev with
+  | { pre = None; src = Rd { ka; kv; o; c; kw } } ->
+      fun fr a n ->
+        for j = 0 to n - 1 do
+          fr.is.(kj) <- j;
+          a.(j) <- a.(j) +. rd fr ka kv o c kw
+        done
+  | v ->
+      let pe, ke = freg_of ctx ev v in
+      fun fr a n ->
+        for j = 0 to n - 1 do
+          fr.is.(kj) <- j;
+          pe fr;
+          a.(j) <- a.(j) +. fr.fs.(ke)
+        done
 
 (* The argmin/argmax shape: reduce over (scalar, payload) pairs keeping
    the pair whose first component wins the comparison. *)
@@ -822,31 +1063,25 @@ and comp_argmin_reduce ctx (r : reduce_gen) :
     when Sym.equal a1 r.a && Sym.equal b1 r.b && Sym.equal a2 r.a && Sym.equal b2 r.b
          && Types.equal (tyof fv) Types.Float
          && Types.equal (tyof fi) Types.Int ->
-      let keep_acc : float -> float -> bool =
-        match cmp with
-        | Prim.Le -> fun acc v -> compare acc v <= 0
-        | Lt -> fun acc v -> compare acc v < 0
-        | Ge -> fun acc v -> compare acc v >= 0
-        | Gt -> fun acc v -> compare acc v > 0
-        | _ -> assert false
-      in
-      let cvf = comp_f ctx fv and cvi = comp_i ctx fi in
+      let pv, kv = comp_freg ctx fv and cvi = comp_i ctx fi in
       let ccond = Option.map (comp_b ctx) r.cond in
-      let best = ref init_f and bi = ref init_i in
+      (* the accumulator keeps the pair unless the value beats it *)
+      let best = [| init_f |] and bi = ref init_i in
       Some
         ( (fun _ _ ->
-            best := init_f;
+            best.(0) <- init_f;
             bi := init_i),
           (fun fr ->
             let pass = match ccond with None -> true | Some c -> c fr in
             if pass then begin
-              let v = cvf fr in
-              if not (keep_acc !best v) then begin
-                best := v;
+              pv fr;
+              let v = fr.fs.(kv) in
+              if not (fcmp cmp best.(0) v) then begin
+                best.(0) <- v;
                 bi := cvi fr
               end
             end),
-          fun () -> V.Vtup [| V.Vfloat !best; V.Vint !bi |] )
+          fun () -> V.Vtup [| V.Vfloat best.(0); V.Vint !bi |] )
   | _ -> None
 
 (* In-place vector-add reduce: value is (lets +) a Collect of floats,
@@ -857,12 +1092,13 @@ and comp_vecadd_reduce ctx (r : reduce_gen) :
   if not (is_vec_fadd_rfun ~a:r.a ~b:r.b r.rfun) then None
   else
     let stores, residue = peel_lets ctx r.value in
+    let stores = seq_steps stores in
     match residue with
     | Loop { size = s2; idx = j2; gens = [ Collect { cond = None; value = ev } ] }
       when Types.equal (tyof ev) Types.Float ->
         let cs2 = comp_i ctx s2 in
         let _, kj2 = alloc_slot ctx j2 in
-        let cev = comp_f ctx ev in
+        let accum = comp_vec_accum ctx ~kj:kj2 ev in
         let cinit = comp_v ctx r.init in
         let ccond = Option.map (comp_b ctx) r.cond in
         let acc = ref [||] in
@@ -871,13 +1107,8 @@ and comp_vecadd_reduce ctx (r : reduce_gen) :
             (fun fr ->
               let pass = match ccond with None -> true | Some c -> c fr in
               if pass then begin
-                List.iter (fun st -> st fr) stores;
-                let n2 = cs2 fr in
-                let a = !acc in
-                for j = 0 to n2 - 1 do
-                  fr.is.(kj2) <- j;
-                  a.(j) <- a.(j) +. cev fr
-                done
+                stores fr;
+                accum fr !acc (cs2 fr)
               end),
             fun () -> V.Varr (V.Fa (Array.copy !acc)) )
     | _ -> None
@@ -893,37 +1124,37 @@ and comp_reduce_gen ctx (r : reduce_gen) =
           let guard fr = match ccond with None -> true | Some c -> c fr in
           match tyof r.value with
           | Types.Float -> (
-              let cv = comp_f ctx r.value in
-              let cinit = comp_f ctx r.init in
-              let acc = ref 0.0 in
-              let direct =
-                match r.rfun with
-                | Prim (p, [ Var x; Var y ]) when Sym.equal x r.a && Sym.equal y r.b
-                  -> (
-                    match p with
-                    | Prim.Fadd -> Some ( +. )
-                    | Fmul -> Some ( *. )
-                    | Fmin -> Some Float.min
-                    | Fmax -> Some Float.max
-                    | _ -> None)
-                | _ -> None
+              (* the accumulator outlives a step: a one-cell float array *)
+              let pinit, kinit = comp_freg ctx r.init in
+              let acc = [| 0.0 |] in
+              let reset fr _ =
+                pinit fr;
+                acc.(0) <- fr.fs.(kinit)
               in
-              match direct with
+              let fin () = V.Vfloat acc.(0) in
+              match direct_fop ~a:r.a ~b:r.b r.rfun with
               | Some op ->
-                  ( (fun fr _ -> acc := cinit fr),
-                    (fun fr -> if guard fr then acc := op !acc (cv fr)),
-                    fun () -> V.Vfloat !acc )
-              | None ->
-                  let _, ka = alloc_slot ctx r.a and _, kb = alloc_slot ctx r.b in
-                  let cr = comp_f ctx r.rfun in
-                  ( (fun fr _ -> acc := cinit fr),
+                  let pv, kv = comp_freg ctx r.value in
+                  ( reset,
                     (fun fr ->
                       if guard fr then begin
-                        fr.fs.(ka) <- !acc;
-                        fr.fs.(kb) <- cv fr;
-                        acc := cr fr
+                        pv fr;
+                        acc.(0) <- fbin op acc.(0) fr.fs.(kv)
                       end),
-                    fun () -> V.Vfloat !acc ))
+                    fin )
+              | None ->
+                  let _, ka = alloc_slot ctx r.a and _, kb = alloc_slot ctx r.b in
+                  let sv = comp_fd ctx r.value kb in
+                  let pr, kr = comp_freg ctx r.rfun in
+                  ( reset,
+                    (fun fr ->
+                      if guard fr then begin
+                        fr.fs.(ka) <- acc.(0);
+                        sv fr;
+                        pr fr;
+                        acc.(0) <- fr.fs.(kr)
+                      end),
+                    fin ))
           | Types.Int -> (
               let cv = comp_i ctx r.value in
               let cinit = comp_i ctx r.init in
@@ -997,44 +1228,38 @@ and comp_bucket_collect ctx ~(reg : registry) ~value =
 and comp_bucket_reduce ctx ~(reg : registry) (r : bucket_reduce_gen) =
   match tyof r.value with
   | Types.Float ->
-      let cv = comp_f ctx r.value in
-      let cinit = comp_f ctx r.init in
-      let direct =
-        match r.rfun with
-        | Prim (p, [ Var x; Var y ]) when Sym.equal x r.a && Sym.equal y r.b -> (
-            match p with
-            | Prim.Fadd -> Some ( +. )
-            | Fmul -> Some ( *. )
-            | Fmin -> Some Float.min
-            | Fmax -> Some Float.max
-            | _ -> None)
-        | _ -> None
-      in
+      let pinit, kinit = comp_freg ctx r.init in
       let accs = ref (Fbuf.create ()) in
       let ensure fr s =
         while !accs.Fbuf.n <= s do
-          Fbuf.push !accs (cinit fr)
+          pinit fr;
+          Fbuf.push !accs fr.fs.(kinit)
         done
       in
       let step =
-        match direct with
+        match direct_fop ~a:r.a ~b:r.b r.rfun with
         | Some op ->
+            let pv, kv = comp_freg ctx r.value in
             fun fr ->
               let s = registry_slot reg fr in
               if s >= 0 then begin
                 ensure fr s;
-                !accs.Fbuf.a.(s) <- op !accs.Fbuf.a.(s) (cv fr)
+                pv fr;
+                let a = !accs.Fbuf.a in
+                a.(s) <- fbin op a.(s) fr.fs.(kv)
               end
         | None ->
             let _, ka = alloc_slot ctx r.a and _, kb = alloc_slot ctx r.b in
-            let cr = comp_f ctx r.rfun in
+            let sv = comp_fd ctx r.value kb in
+            let pr, kr = comp_freg ctx r.rfun in
             fun fr ->
               let s = registry_slot reg fr in
               if s >= 0 then begin
                 ensure fr s;
                 fr.fs.(ka) <- !accs.Fbuf.a.(s);
-                fr.fs.(kb) <- cv fr;
-                !accs.Fbuf.a.(s) <- cr fr
+                sv fr;
+                pr fr;
+                !accs.Fbuf.a.(s) <- fr.fs.(kr)
               end
       in
       ( (fun _ _ -> accs := Fbuf.create ()),
@@ -1095,12 +1320,13 @@ and comp_bucket_reduce ctx ~(reg : registry) (r : bucket_reduce_gen) =
   | _ when is_vec_fadd_rfun ~a:r.a ~b:r.b r.rfun -> (
       (* in-place per-bucket vector accumulation (k-means' sums) *)
       let stores, residue = peel_lets ctx r.value in
+      let stores = seq_steps stores in
       match residue with
       | Loop { size = s2; idx = j2; gens = [ Collect { cond = None; value = ev } ] }
         when Types.equal (tyof ev) Types.Float ->
           let cs2 = comp_i ctx s2 in
           let _, kj2 = alloc_slot ctx j2 in
-          let cev = comp_f ctx ev in
+          let accum = comp_vec_accum ctx ~kj:kj2 ev in
           let cinit = comp_v ctx r.init in
           let accs : float array Obuf.t ref = ref (Obuf.create [||]) in
           ( (fun _ _ -> accs := Obuf.create [||]),
@@ -1110,13 +1336,8 @@ and comp_bucket_reduce ctx ~(reg : registry) (r : bucket_reduce_gen) =
                 while !accs.Obuf.n <= s do
                   Obuf.push !accs (V.to_float_array (cinit fr))
                 done;
-                List.iter (fun st -> st fr) stores;
-                let n2 = cs2 fr in
-                let a = !accs.Obuf.a.(s) in
-                for j = 0 to n2 - 1 do
-                  fr.is.(kj2) <- j;
-                  a.(j) <- a.(j) +. cev fr
-                done
+                stores fr;
+                accum fr !accs.Obuf.a.(s) (cs2 fr)
               end),
             fun () ->
               V.Vmap
@@ -1200,13 +1421,16 @@ and comp_loop ctx (l : loop) : frame -> V.t =
         done;
         fin ()
   | gens ->
+      let steps = Array.of_list (List.map (fun (_, step, _) -> step) gens) in
       fun fr ->
         let n = cn fr in
         reset_registries ();
         List.iter (fun (reset, _, _) -> reset fr n) gens;
         for i = 0 to n - 1 do
           fr.is.(kidx) <- i;
-          List.iter (fun (_, step, _) -> step fr) gens
+          for g = 0 to Array.length steps - 1 do
+            steps.(g) fr
+          done
         done;
         V.Vtup (Array.of_list (List.map (fun (_, _, fin) -> fin ()) gens))
 
@@ -1224,11 +1448,13 @@ type compiled = {
 let compile (e : exp) : compiled =
   let ctx = new_ctx () in
   let root = comp_v ctx e in
+  let consts =
+    Hashtbl.fold (fun bits k acc -> (k, Int64.float_of_bits bits) :: acc) ctx.fconsts []
+  in
   let make_frame () =
-    { fs = Array.make (Stdlib.max 1 ctx.nf) 0.0;
-      is = Array.make (Stdlib.max 1 ctx.ni) 0;
-      os = Array.make (Stdlib.max 1 ctx.no) V.Vunit;
-    }
+    let fs = Array.make (Stdlib.max 1 ctx.nf) 0.0 in
+    List.iter (fun (k, f) -> fs.(k) <- f) consts;
+    { fs; is = Array.make (Stdlib.max 1 ctx.ni) 0; os = Array.make (Stdlib.max 1 ctx.no) V.Vunit }
   in
   let run ?(inputs = []) () =
     let fr = make_frame () in

@@ -157,10 +157,12 @@ let prim_ocaml (p : Prim.t) (ty_a : Types.ty) (args : string list) : string =
   let a () = List.nth args 0 and b () = List.nth args 1 in
   let cmp op =
     (* restrict the polymorphic comparison to the operand type so ocamlopt
-       specializes it; floats use native compares (no NaN in our data) *)
+       specializes it; floats go through [compare] so that NaN compares the
+       way the interpreter's does (equal to itself, below every float) *)
     match ty_a with
-    | Types.Int | Types.Bool | Types.Float | Types.Str ->
+    | Types.Int | Types.Bool | Types.Str ->
         Printf.sprintf "((%s : %s) %s %s)" (a ()) (oty ty_a) op (b ())
+    | Types.Float -> Printf.sprintf "(compare (%s : float) %s %s 0)" (a ()) (b ()) op
     | _ -> Printf.sprintf "(compare %s %s %s 0)" (a ()) (b ()) op
   in
   match p with

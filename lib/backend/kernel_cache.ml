@@ -195,7 +195,7 @@ let canonical_blob (e : Exp.exp) : string =
 (* Bumping this invalidates every cached kernel — do so whenever the
    generated code's shape changes ([Codegen_ocaml], the kernel protocol,
    the META format). *)
-let codegen_version = 2
+let codegen_version = 3
 
 (** The cache key for [e] compiled by [backend_id] under [caps_fp]. *)
 let key ~(backend_id : string) ~(caps_fp : string) (e : Exp.exp) : string =

@@ -38,10 +38,12 @@ let fold_prim (p : Prim.t) (args : exp list) : exp option =
   | Le, [ Const (Cint a); Const (Cint b) ] -> Some (bool_ (a <= b))
   | Gt, [ Const (Cint a); Const (Cint b) ] -> Some (bool_ (a > b))
   | Ge, [ Const (Cint a); Const (Cint b) ] -> Some (bool_ (a >= b))
-  | Lt, [ Const (Cfloat a); Const (Cfloat b) ] -> Some (bool_ (a < b))
-  | Le, [ Const (Cfloat a); Const (Cfloat b) ] -> Some (bool_ (a <= b))
-  | Gt, [ Const (Cfloat a); Const (Cfloat b) ] -> Some (bool_ (a > b))
-  | Ge, [ Const (Cfloat a); Const (Cfloat b) ] -> Some (bool_ (a >= b))
+  (* float compares fold the way the interpreter evaluates them, with
+     [compare] (NaN equals itself and sorts below every float) *)
+  | Lt, [ Const (Cfloat a); Const (Cfloat b) ] -> Some (bool_ (Float.compare a b < 0))
+  | Le, [ Const (Cfloat a); Const (Cfloat b) ] -> Some (bool_ (Float.compare a b <= 0))
+  | Gt, [ Const (Cfloat a); Const (Cfloat b) ] -> Some (bool_ (Float.compare a b > 0))
+  | Ge, [ Const (Cfloat a); Const (Cfloat b) ] -> Some (bool_ (Float.compare a b >= 0))
   | And, [ Const (Cbool a); Const (Cbool b) ] -> Some (bool_ (a && b))
   | Or, [ Const (Cbool a); Const (Cbool b) ] -> Some (bool_ (a || b))
   | Not, [ Const (Cbool a) ] -> Some (bool_ (not a))

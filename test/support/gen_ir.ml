@@ -32,9 +32,16 @@ let int_leaf env : exp QCheck.Gen.t =
   | [] -> consts
   | vs -> oneof [ consts; oneofl vs ]
 
+(* Float constants, now and then one whose bits the backends must keep:
+   NaN, negative zero, infinity. *)
 let float_leaf env : exp QCheck.Gen.t =
   let open QCheck.Gen in
-  let consts = map (fun f -> float_ (Float.of_int f /. 4.0)) (int_range (-40) 40) in
+  let consts =
+    frequency
+      [ (12, map (fun f -> float_ (Float.of_int f /. 4.0)) (int_range (-40) 40));
+        (1, oneofl [ float_ Float.nan; float_ (-0.0); float_ Float.infinity ]);
+      ]
+  in
   match vars_of env Types.Float with
   | [] -> consts
   | vs -> oneof [ consts; oneofl vs ]
@@ -45,6 +52,8 @@ let bool_leaf env : exp QCheck.Gen.t =
   match vars_of env Types.Bool with
   | [] -> consts
   | vs -> oneof [ consts; oneofl vs ]
+
+let float_binops = Prim.[ Fadd; Fsub; Fmul; Fmin; Fmax; Pow ]
 
 (* [gen_exp env ty fuel] generates an expression of type [ty]. *)
 let rec gen_exp (env : env) (ty : Types.ty) (fuel : int) : exp QCheck.Gen.t =
@@ -71,6 +80,7 @@ let rec gen_exp (env : env) (ty : Types.ty) (fuel : int) : exp QCheck.Gen.t =
              gen_if env ty fuel;
              gen_let env ty fuel;
              gen_isum env fuel;
+             gen_argmin env fuel;
            ]
           @ arr_reads)
     | Types.Float ->
@@ -85,13 +95,15 @@ let rec gen_exp (env : env) (ty : Types.ty) (fuel : int) : exp QCheck.Gen.t =
         in
         oneof
           ([ gen_leaf env ty;
-             (let* p = oneofl Prim.[ Fadd; Fsub; Fmul; Fmin; Fmax ] in
+             (let* p = oneofl float_binops in
               let* a = gen_exp env Types.Float (fuel / 2) in
               let* b = gen_exp env Types.Float (fuel / 2) in
               gen_return (Prim (p, [ a; b ])));
              gen_if env ty fuel;
              gen_let env ty fuel;
              gen_fsum env fuel;
+             gen_shared env fuel;
+             gen_affine env fuel;
            ]
           @ arr_reads)
     | Types.Bool ->
@@ -100,6 +112,10 @@ let rec gen_exp (env : env) (ty : Types.ty) (fuel : int) : exp QCheck.Gen.t =
             (let* p = oneofl Prim.[ Eq; Ne; Lt; Le; Gt; Ge ] in
              let* a = gen_exp env Types.Int (fuel / 2) in
              let* b = gen_exp env Types.Int (fuel / 2) in
+             gen_return (Prim (p, [ a; b ])));
+            (let* p = oneofl Prim.[ Eq; Ne; Lt; Le; Gt; Ge ] in
+             let* a = gen_exp env Types.Float (fuel / 2) in
+             let* b = gen_exp env Types.Float (fuel / 2) in
              gen_return (Prim (p, [ a; b ])));
             (let* p = oneofl Prim.[ And; Or ] in
              let* a = gen_exp env Types.Bool (fuel / 2) in
@@ -179,6 +195,49 @@ and gen_fsum env fuel =
                { cond = None; value; a; b; rfun = Prim (op, [ Var a; Var b ]); init };
            ];
        })
+
+(* A Let-bound float read twice: [let v = e in v op v]. *)
+and gen_shared env fuel =
+  let open QCheck.Gen in
+  let* bound = gen_exp env Types.Float (fuel / 2) in
+  let* p = oneofl float_binops in
+  let s = Sym.fresh ~name:"v" Types.Float in
+  gen_return (Let (s, bound, Prim (p, [ Var s; Var s ])))
+
+(* Affine reads of a Let-bound float array, the kmeans distance shape:
+   [sum_{i<n} sum_{j<m} (let d = xs(((i + o) * m) + j) - c in d * d)]
+   over an array of [(n + o) * m] elements ([o = 0] gives [i*m + j]). *)
+and gen_affine env fuel =
+  let open QCheck.Gen in
+  let* n = int_range 1 4 in
+  let* m = int_range 1 4 in
+  let* o = int_range 0 2 in
+  let k = Sym.fresh ~name:"k" Types.Int in
+  let* elt = gen_exp ((k, Types.Int) :: env) Types.Float (fuel / 3) in
+  let* c = float_leaf env in
+  let xs = Sym.fresh ~name:"xs" (Types.Arr Types.Float) in
+  let fill =
+    Loop
+      { size = int_ ((n + o) * m); idx = k; gens = [ Collect { cond = None; value = elt } ] }
+  in
+  let open Builder in
+  let row i = if o = 0 then i *! int_ m else (i +! int_ o) *! int_ m in
+  gen_return
+    (Let
+       ( xs,
+         fill,
+         fsum ~size:(int_ n) (fun i ->
+             fsum ~size:(int_ m) (fun j ->
+                 bind ~ty:Types.Float (Read (Var xs, row i +! j) -. c) (fun d -> d *. d))) ))
+
+(* The argmin shape with a float Reduce nested in its (value, index)
+   tuple: the index of the least [sum_j f(i, j)] over [i < n]. *)
+and gen_argmin env fuel =
+  let open QCheck.Gen in
+  let* n = int_range 1 6 in
+  let i = Sym.fresh ~name:"i" Types.Int in
+  let* value = gen_fsum ((i, Types.Int) :: env) (fuel / 2) in
+  gen_return (Builder.min_index ~size:(int_ n) (fun ix -> subst1 i ix value))
 
 and gen_isum env fuel =
   let* n = QCheck.Gen.int_range 1 8 in

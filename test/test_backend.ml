@@ -162,6 +162,89 @@ let prop_closure_agrees_optimized =
           let opt = (Dmll_opt.Pipeline.optimize e).Dmll_opt.Pipeline.program in
           Value.approx_equal ~eps:1e-6 expected (Closure.run opt))
 
+(* ---------------- float registers ---------------- *)
+
+(* argmin keeps the interpreter's [compare] order: NaN equals itself and
+   sorts below every float, and -0.0 ties with 0.0 *)
+let test_closure_argmin_nan () =
+  let arr = Input ("a", Types.Arr Types.Float, Local) in
+  List.iter
+    (fun row ->
+      let inputs = [ ("a", Value.of_float_array row) ] in
+      agree ~inputs (min_index ~size:(Len arr) (fun i -> Read (arr, i)));
+      agree ~inputs
+        (min_index ~size:(Len arr) (fun i ->
+             fsum ~size:(int_ 2) (fun j -> Read (arr, i) *. i2f (j +! int_ 1)))))
+    [ [| 1.0; Float.nan; -0.0; 0.0; Float.nan |];
+      [| 0.0; -0.0; 2.0 |];
+      [| -0.0; 0.0; Float.infinity; Float.nan |];
+    ]
+
+(* Minor words one run of [c] allocates, after a warm-up run. *)
+let run_words (c : Closure.compiled) inputs =
+  ignore (c.Closure.run ~inputs ());
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (c.Closure.run ~inputs ()));
+  Float.sub (Gc.minor_words ()) w0
+
+(* The minor words a run at size [4n] allocates beyond a run at size [n].
+   When no inner-loop iteration allocates, this is a constant: the
+   results grow, the loops do not box. *)
+let extra_words ~(program : int -> exp) ~(inputs : int -> (string * Value.t) list) n =
+  let words n = run_words (Closure.compile (program n)) (inputs n) in
+  Float.sub (words (4 * n)) (words n)
+
+let check_no_alloc ~what ~bound extra =
+  if extra >= bound then
+    Alcotest.failf "%s: %.0f extra minor words at 4n (bound %.0f)" what extra bound
+
+(* k-means at 2k rows x [cols] columns, k = 4, through the full compiler *)
+let km_rows = 2000 and km_k = 4
+
+let kmeans_final cols =
+  let p = Dmll_apps.Kmeans.program ~rows:km_rows ~cols ~k:km_k () in
+  (Dmll.compile_with Dmll.Config.default p).Dmll.final
+
+let kmeans_inputs cols =
+  let d = Dmll_data.Gaussian.generate ~rows:km_rows ~cols ~classes:km_k () in
+  Dmll_apps.Kmeans.inputs d ~centroids:(Dmll_data.Gaussian.random_centroids ~k:km_k d)
+
+(* The inner-loop iterations scale with the column count: rows x k x cols
+   in the distance reduce, rows x cols in the centroid sums. *)
+let test_closure_no_alloc () =
+  let sqdiff _ =
+    let xs = Input ("xs", Types.Arr Types.Float, Local) in
+    fsum ~size:(Len xs) (fun i ->
+        bind ~ty:Types.Float (Read (xs, i) -. float_ 0.5) (fun d -> d *. d))
+  in
+  let sq_inputs n = [ ("xs", Value.of_float_array (Array.init n (fun i -> float_of_int (i mod 7)))) ] in
+  check_no_alloc ~what:"let-bound squared difference" ~bound:64.0
+    (extra_words ~program:sqdiff ~inputs:sq_inputs 10_000);
+  (* the k x cols centroid result grows with cols: a few hundred words *)
+  check_no_alloc ~what:"kmeans" ~bound:4096.0
+    (extra_words ~program:kmeans_final ~inputs:kmeans_inputs 8)
+
+(* A chunk of kmeans' first loop, as Exec_domains builds it for domains
+   and workers: its subscripts read [((ci + lo) * c) + j]. *)
+let kmeans_chunk cols =
+  match kmeans_final cols with
+  | Let (_, Loop l, _) ->
+      (Loop l, Dmll_runtime.Exec_domains.chunk_loop l { Dmll_runtime.Chunk.lo = 500; hi = 1500 })
+  | e -> Alcotest.failf "kmeans: expected a leading multiloop, got %s" (Pp.to_string e)
+
+let test_closure_chunk_folds () =
+  let whole, chunk = kmeans_chunk 8 in
+  let inputs = kmeans_inputs 8 in
+  check value "chunk = interpreter" (Interp.run ~inputs chunk) (Closure.run ~inputs chunk);
+  (* an unfolded read would take a float temporary of its own *)
+  let fregs e =
+    let f, _, _ = (Closure.compile e).Closure.frame_sizes in
+    f
+  in
+  check Alcotest.int "shifted reads fold like the unshifted loop's" (fregs whole) (fregs chunk);
+  check_no_alloc ~what:"kmeans chunk" ~bound:4096.0
+    (extra_words ~program:(fun cols -> snd (kmeans_chunk cols)) ~inputs:kmeans_inputs 8)
+
 (* ---------------- GPU kernels ---------------- *)
 
 let xs = Input ("xs", Types.Arr Types.Float, Partitioned)
@@ -275,6 +358,11 @@ let () =
           Alcotest.test_case "multi-generator" `Quick test_closure_multi_gen;
           Alcotest.test_case "inputs/structs" `Quick test_closure_inputs_structs;
           Alcotest.test_case "compile-once run-many" `Quick test_closure_reuse;
+        ] );
+      ( "registers",
+        [ Alcotest.test_case "argmin keeps compare order" `Quick test_closure_argmin_nan;
+          Alcotest.test_case "inner loops do not allocate" `Quick test_closure_no_alloc;
+          Alcotest.test_case "chunked reads fold" `Quick test_closure_chunk_folds;
         ] );
       ( "gpu",
         [ Alcotest.test_case "scalar reduce" `Quick test_gpu_scalar_reduce;
