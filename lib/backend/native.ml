@@ -10,12 +10,15 @@
       [ocamlopt -shared], dynlinked into this process, and handed back
       through the {!Kernel_link} registry.  No child process, no
       per-run marshalling to disk — the kernel is a [string -> string]
-      closure over marshalled inputs.
+      closure over marshalled inputs.  A run calls it once, and its
+      [seconds] is the wall-clock of the whole call: kernel lookup (or
+      build), input marshal, kernel, result unmarshal.
     - {b Child process} (the historical path): a standalone executable
       that times its own kernel (median of [runs] executions, after a
       warmup) so compilation and input-marshalling costs never pollute
       the measurement, and marshals its result back for the
-      correctness gate.  This is the fallback when Dynlink is
+      correctness gate.  Table 2 and the ablation use it for their
+      kernel-only times; it is also the fallback when Dynlink is
       unavailable (bytecode builds, missing cmi directory).
 
     A cache hit — memory or disk — performs {e zero} codegen and zero
@@ -289,22 +292,16 @@ module Jit = struct
                 | Error m -> fail "dynlink failed: %s" m
                 | Ok () -> linked_or Compiled)))
 
-  (** Compile (or cache-hit) and run in-process: median kernel time of
-      [runs] executions after a warmup, mirroring the child protocol. *)
-  let run ?cache ?metrics ?tracer ?(runs = 3)
-      ~(inputs : (string * V.t) list) (e : Dmll_ir.Exp.exp) : result =
-    let kernel, _src = kernel_for ?cache ?metrics ?tracer e in
-    let blob = Marshal.to_string inputs [] in
-    ignore (kernel blob);
-    let times =
-      List.init (Stdlib.max 1 runs) (fun _ ->
-          let t0 = Unix.gettimeofday () in
-          let r = kernel blob in
-          (Unix.gettimeofday () -. t0, r))
+  (** Compile (or cache-hit) and run in-process, once: resolve the
+      kernel, marshal the inputs, call it, unmarshal its value.
+      [seconds] is the wall-clock of this whole call. *)
+  let run ?cache ?metrics ?tracer ~(inputs : (string * V.t) list)
+      (e : Dmll_ir.Exp.exp) : result =
+    let value, seconds =
+      Dmll_util.Timing.time (fun () ->
+          let kernel, _src = kernel_for ?cache ?metrics ?tracer e in
+          (Marshal.from_string (kernel (Marshal.to_string inputs [])) 0 : V.t))
     in
-    let sorted = List.sort (fun (a, _) (b, _) -> compare a b) times in
-    let seconds, raw = List.nth sorted (List.length sorted / 2) in
-    let value : V.t = Marshal.from_string raw 0 in
     { value; seconds }
 end
 
@@ -312,9 +309,15 @@ end
 (* Unified entry                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(** Run [e] natively: in-process JIT when available, child process
-    otherwise.  Both legs share the kernel cache. *)
-let run_best ?cache ?metrics ?tracer ?(runs = 3)
-    ~(inputs : (string * V.t) list) (e : Dmll_ir.Exp.exp) : result =
-  if Lazy.force Jit.available then Jit.run ?cache ?metrics ?tracer ~runs ~inputs e
-  else run ?cache ?metrics ?tracer ~runs ~inputs e
+(** Run [e] natively, once: in-process JIT when available, child process
+    otherwise.  Both legs share the kernel cache, and on both [seconds]
+    is the wall-clock of the call, kernel lookup or build included. *)
+let run_best ?cache ?metrics ?tracer ~(inputs : (string * V.t) list)
+    (e : Dmll_ir.Exp.exp) : result =
+  if Lazy.force Jit.available then Jit.run ?cache ?metrics ?tracer ~inputs e
+  else
+    let r, seconds =
+      Dmll_util.Timing.time (fun () ->
+          run ?cache ?metrics ?tracer ~runs:1 ~inputs e)
+    in
+    { r with seconds }

@@ -4,7 +4,10 @@
 
     Two execution paths, both fronted by the content-addressed
     {!Kernel_cache} (DESIGN.md §17): the in-process Dynlink JIT
-    ({!Jit}) and the historical child-process fallback.  A cache hit —
+    ({!Jit}), which calls the kernel once and reports the wall-clock of
+    the call, and the historical child-process path, which reports a
+    median kernel-only time (Table 2, the ablation, and the fallback
+    when Dynlink is unavailable).  A cache hit —
     memory or disk — performs {e zero} codegen and zero compilation;
     [kernel_cache_hit]/[kernel_cache_miss] metrics record which
     happened, and each real compile runs under an [Obs.Span]
@@ -89,21 +92,21 @@ module Jit : sig
     ?cache:Kernel_cache.t ->
     ?metrics:Metrics.t ->
     ?tracer:Span.t ->
-    ?runs:int ->
     inputs:(string * V.t) list ->
     Dmll_ir.Exp.exp ->
     result
-  (** Compile (or cache-hit) and run in-process: median kernel time of
-      [runs] executions after a warmup, mirroring the child protocol. *)
+  (** Compile (or cache-hit) and run in-process, once: resolve the
+      kernel, marshal the inputs, call it, unmarshal its value.
+      [seconds] is the wall-clock of this whole call. *)
 end
 
 val run_best :
   ?cache:Kernel_cache.t ->
   ?metrics:Metrics.t ->
   ?tracer:Span.t ->
-  ?runs:int ->
   inputs:(string * V.t) list ->
   Dmll_ir.Exp.exp ->
   result
-(** Run natively: in-process JIT when available, child process
-    otherwise.  Both legs share the kernel cache. *)
+(** Run natively, once: in-process JIT when available, child process
+    otherwise.  Both legs share the kernel cache, and on both [seconds]
+    is the wall-clock of the call, kernel lookup or build included. *)

@@ -40,7 +40,7 @@ type B.payload +=
     }
   | Proc_p of Runtime.Proc_cluster.config
   | Net_p of Runtime.Net_cluster.config
-  | Native_p of { cache : Bk.Kernel_cache.t; runs : int }
+  | Native_p of Bk.Kernel_cache.t
 
 (* ------------------------------------------------------------------ *)
 (* Shared result shapes                                                *)
@@ -348,10 +348,10 @@ module Native_backend : B.S = struct
 
   let execute p (ctx : B.ctx) e =
     match p with
-    | Native_p { cache; runs } ->
+    | Native_p cache ->
         let r =
           Bk.Native.run_best ~cache ~metrics:ctx.B.metrics ?tracer:ctx.B.tracer
-            ~runs ~inputs:ctx.B.inputs e
+            ~inputs:ctx.B.inputs e
         in
         wall ~metrics:ctx.B.metrics r.Bk.Native.value r.Bk.Native.seconds
     | _ -> B.wrong_payload id
@@ -463,7 +463,7 @@ let payload_of (cfg : Config.t) : B.payload =
           metrics = keep nc.Runtime.Net_cluster.metrics cfg.Config.metrics;
         }
   | Config.Native ->
-      Native_p { cache = cache_for cfg.Config.kernel_cache_dir; runs = 3 }
+      Native_p (cache_for cfg.Config.kernel_cache_dir)
 
 (** The backend serving [cfg.target], with the payload [execute] will
     consume — [cfg]'s fault/checkpoint/memory knobs and observability

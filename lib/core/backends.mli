@@ -21,7 +21,7 @@ type Dmll_backend.Backend.payload +=
     }
   | Proc_p of Dmll_runtime.Proc_cluster.config
   | Net_p of Dmll_runtime.Net_cluster.config
-  | Native_p of { cache : Dmll_backend.Kernel_cache.t; runs : int }
+  | Native_p of Dmll_backend.Kernel_cache.t
 
 val ensure_registered : unit -> unit
 (** Populate the registry with every built-in backend (idempotent).

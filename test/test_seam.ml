@@ -5,7 +5,9 @@
    (alpha-invariant keys, memory/disk tiers, atomic commit, corrupt and
    torn entries rejected and recompiled), cache hit/miss determinism on
    the twelve apps (the second execution of an identical plan does zero
-   codegen and zero compilation, and its value is bit-identical), and a
+   codegen and zero compilation, and its value is bit-identical), a
+   native execute calling its kernel exactly once and reporting the
+   wall-clock of the call (kernel build included) as its seconds, and a
    QCheck property that the Dynlink JIT and the child-process fallback
    compute the same value on random programs. *)
 
@@ -383,7 +385,7 @@ let test_twelve_app_determinism () =
       (fun (name, program, inputs) ->
         let opt = (Dmll.compile_with Dmll.Config.default program).Dmll.final in
         let m1 = Metrics.create () in
-        match Native.run_best ~cache ~metrics:m1 ~runs:1 ~inputs opt with
+        match Native.run_best ~cache ~metrics:m1 ~inputs opt with
         | exception Backend.Codegen_ocaml.Unsupported _ -> ()
         | r1 ->
             incr compiled;
@@ -392,7 +394,7 @@ let test_twelve_app_determinism () =
             check tint (name ^ ": cold run has no hit") 0
               (Metrics.count m1 "kernel_cache_hit");
             let m2 = Metrics.create () in
-            let r2 = Native.run_best ~cache ~metrics:m2 ~runs:1 ~inputs opt in
+            let r2 = Native.run_best ~cache ~metrics:m2 ~inputs opt in
             check tint (name ^ ": warm run hits the cache") 1
               (Metrics.count m2 "kernel_cache_hit");
             check tint (name ^ ": warm run does zero compilation") 0
@@ -450,6 +452,87 @@ let test_native_corrupt_recompile () =
          (Marshal.to_string r2.Native.value []))
   end
 
+(* ---------------- one kernel call per native execute ----------------- *)
+
+let native_cfg root =
+  Dmll.Config.(default |> with_target Dmll.Native |> with_kernel_cache_dir root)
+
+(* A kmeans instance whose kernel no other case of this suite links:
+   kernels stay linked for the life of the process, keyed by program. *)
+let small_kmeans ~rows ~cols ~k =
+  let data = Dmll_data.Gaussian.generate ~rows ~cols ~classes:k () in
+  ( Dmll_apps.Kmeans.program ~rows ~cols ~k (),
+    Dmll_apps.Kmeans.inputs data
+      ~centroids:(Dmll_data.Gaussian.random_centroids ~k data) )
+
+(* A native execute calls its kernel exactly once: no warm-up and no
+   repeated timed calls.  A counting wrapper is registered under the
+   kernel's key, where the next execute finds it already linked. *)
+let test_one_kernel_call () =
+  if not (Lazy.force Native.Jit.available) then
+    Printf.printf "native JIT unavailable; kernel-call test skipped\n"
+  else begin
+    let cfg = native_cfg (fresh_root ()) in
+    let program, inputs = small_kmeans ~rows:32 ~cols:4 ~k:3 in
+    let c = Dmll.compile_with cfg program in
+    let first = Dmll.execute cfg c ~inputs in
+    let key = Native.cache_key c.Dmll.final in
+    let linked =
+      match Backend.Kernel_link.find key with
+      | Some k -> k
+      | None -> Alcotest.fail "the first execute linked no kernel"
+    in
+    let calls = ref 0 in
+    Backend.Kernel_link.register ~key (fun blob ->
+        incr calls;
+        linked blob);
+    Fun.protect
+      ~finally:(fun () -> Backend.Kernel_link.register ~key linked)
+      (fun () ->
+        let second = Dmll.execute cfg c ~inputs in
+        check tint "one kernel call per execute" 1 !calls;
+        check tbool "value equal to the first execute's" true
+          (V.equal first.Dmll.value second.Dmll.value))
+  end
+
+(* A native execute's [seconds] is the wall-clock the caller waited, so a
+   cold execute's covers its kernel build; a warm one builds nothing. *)
+let test_seconds_cover_build () =
+  if not (Lazy.force Native.available) then
+    Printf.printf "ocamlfind/ocamlopt unavailable; seconds test skipped\n"
+  else begin
+    let cfg = native_cfg (fresh_root ()) in
+    let program, inputs = small_kmeans ~rows:24 ~cols:3 ~k:2 in
+    let c = Dmll.compile_with cfg program in
+    let traced () =
+      let tr = Dmll_obs.Span.create () in
+      let r = Dmll.execute (Dmll.Config.with_tracer tr cfg) c ~inputs in
+      let builds =
+        List.filter
+          (fun (s : Dmll_obs.Span.span) -> s.Dmll_obs.Span.name = "kernel-compile")
+          (Dmll_obs.Span.spans tr)
+      in
+      (r, builds)
+    in
+    let cold, builds = traced () in
+    check tint "cold execute builds its kernel" 1
+      (Metrics.count cold.Dmll.metrics "kernel_cache_miss");
+    (match builds with
+    | [ b ] ->
+        (* both clocks are Unix.gettimeofday; 1 ns absorbs the rounding
+           of the span's microsecond arithmetic *)
+        check tbool
+          (Printf.sprintf "seconds %.6f covers the build's %.6f" cold.Dmll.seconds
+             (b.Dmll_obs.Span.dur_us /. 1e6))
+          true
+          (cold.Dmll.seconds +. 1e-9 >= b.Dmll_obs.Span.dur_us /. 1e6)
+    | l -> Alcotest.failf "cold execute: %d kernel-compile spans" (List.length l));
+    let warm, builds = traced () in
+    check tint "warm execute emits no kernel-compile span" 0 (List.length builds);
+    check tint "warm execute hits the kernel cache" 1
+      (Metrics.count warm.Dmll.metrics "kernel_cache_hit")
+  end
+
 (* ------------------- QCheck: Dynlink = child process ------------------ *)
 
 (* Both paths compile the same generated source, so their values must be
@@ -472,7 +555,7 @@ let prop_jit_equals_child =
         | exception Interp.Runtime_error _ -> QCheck.assume_fail ()
         | expected -> (
             match
-              ( Native.Jit.run ~cache ~runs:1 ~inputs:[] e,
+              ( Native.Jit.run ~cache ~inputs:[] e,
                 Native.run ~cache ~runs:1 ~inputs:[] e )
             with
             | exception Backend.Codegen_ocaml.Unsupported _ ->
@@ -502,6 +585,10 @@ let () =
             test_twelve_app_determinism;
           Alcotest.test_case "corrupt kernel recompiles" `Slow
             test_native_corrupt_recompile;
+          Alcotest.test_case "one kernel call per execute" `Slow
+            test_one_kernel_call;
+          Alcotest.test_case "seconds covers the build" `Slow
+            test_seconds_cover_build;
           qcheck prop_jit_equals_child;
         ] );
     ]
