@@ -1,5 +1,7 @@
 (* Ablation study: what each optimization group is worth, measured for
-   real (native backend, ocamlopt-compiled generated code).
+   real (native backend, ocamlopt-compiled generated code, timed in
+   process as Table 2's native column is, each value gated against the
+   closure backend's).
 
    Variants per application:
      all        — the full pipeline (what Dmll.compile_with produces)
@@ -49,14 +51,16 @@ let variants : variant list =
     { vname = "none"; optimize = pipeline ~input_soa:false Opt.Simplify.rules };
   ]
 
-let measure_variant ~(inputs : (string * V.t) list) (program : Dmll_ir.Exp.exp)
-    (v : variant) : float option =
-  try
-    let p = v.optimize program in
-    let r = Dmll_backend.Native.run ~runs:3 ~inputs p in
-    Some r.Dmll_backend.Native.seconds
-  with
-  | Dmll_backend.Native.Native_error _ | Dmll_backend.Codegen_ocaml.Unsupported _ ->
+let measure_variant ~name ~(reference : V.t) ~(inputs : (string * V.t) list)
+    (program : Dmll_ir.Exp.exp) (v : variant) : float option =
+  match Table2.native_seconds ~runs:3 ~reference ~inputs (v.optimize program) with
+  | Some s -> Some s
+  | None ->
+      Printf.eprintf "ablation: native result mismatch for %s (%s)\n" name v.vname;
+      None
+  | exception
+      (Dmll_backend.Native.Native_error _ | Dmll_backend.Codegen_ocaml.Unsupported _)
+    ->
       None
 
 let run () =
@@ -83,7 +87,11 @@ let run () =
   in
   List.iter
     (fun (name, program, inputs) ->
-      let times = List.map (measure_variant ~inputs program) variants in
+      let reference =
+        Dmll_backend.Closure.run ~inputs
+          (Dmll.compile_with Dmll.Config.default program).Dmll.final
+      in
+      let times = List.map (measure_variant ~name ~reference ~inputs program) variants in
       let base = match times with Some t :: _ -> t | _ -> nan in
       T.add_row tbl
         (name

@@ -13,7 +13,7 @@
 
    Emits one JSON line per app — mirrored into BENCH_jit.json:
 
-     {"app":"kmeans","path":"jit","cold_miss":1,"cold_hit":0,
+     {"app":"kmeans","cold_miss":1,"cold_hit":0,
       "warm_miss":0,"warm_hit":1,"value_ok":true}
 
    The lines hold no timings, so the file is the same on every run: a
@@ -42,8 +42,8 @@ let apps () =
       Dmll_apps.Tpch_q1.aos_inputs q1 @ Dmll_apps.Tpch_q1.soa_inputs q1 );
   ]
 
-(* dmll_native_run* scratch directories in the system temp dir — each
-   native execution creates one and must remove it on every path. *)
+(* dmll_native_run* scratch directories in the system temp dir — a native
+   execution runs in process and must leave none behind. *)
 let scratch_dirs () =
   let tmp = Filename.get_temp_dir_name () in
   match Sys.readdir tmp with
@@ -55,16 +55,13 @@ let scratch_dirs () =
       |> List.sort String.compare
 
 let run () =
-  if not (Lazy.force Native.available) then
-    Printf.printf
-      "ocamlfind/ocamlopt unavailable; jit_validate skipped (vacuous pass)\n"
+  if not (Lazy.force Native.Jit.available) then
+    Printf.printf "native JIT unavailable; jit_validate skipped (vacuous pass)\n"
   else begin
-    let path = if Lazy.force Native.Jit.available then "jit" else "child" in
     Printf.printf
-      "Kernel cache: cold vs warm native execution (%s path)\n\
+      "Kernel cache: cold vs warm native execution\n\
        (contract: the warm leg performs zero codegen and zero compilation\n\
-       \ and its value is bit-identical to the cold leg's).\n\n"
-      path;
+       \ and its value is bit-identical to the cold leg's).\n\n";
     let root = Filename.temp_file "dmll-jit-validate" "" in
     Sys.remove root;
     let before = scratch_dirs () in
@@ -97,8 +94,8 @@ let run () =
             in
             let line =
               Printf.sprintf
-                "{\"app\":%S,\"path\":%S,\"cold_miss\":%d,\"cold_hit\":%d,\"warm_miss\":%d,\"warm_hit\":%d,\"value_ok\":%b}"
-                name path cold_miss cold_hit warm_miss warm_hit value_ok
+                "{\"app\":%S,\"cold_miss\":%d,\"cold_hit\":%d,\"warm_miss\":%d,\"warm_hit\":%d,\"value_ok\":%b}"
+                name cold_miss cold_hit warm_miss warm_hit value_ok
             in
             Printf.printf "%s\n%!" line;
             output_string out (line ^ "\n");

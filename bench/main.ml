@@ -26,9 +26,9 @@ let experiments : (string * string * (unit -> unit)) list =
       fun () -> Comm_validate.run ());
     ("mem_validate", "static footprint peaks vs measured cluster residents (JSON)",
       fun () -> Mem_validate.run ());
-    ("proc_validate", "simulated vs real forked-worker wall-clock (JSON)",
+    ("proc_validate", "simulated cluster seconds vs real forked-worker value (JSON)",
       fun () -> Proc_validate.run ());
-    ("net_validate", "TCP-executor recovery overhead vs network-fault rate (JSON)",
+    ("net_validate", "TCP-executor recovery vs network-fault rate (JSON)",
       fun () -> Net_validate.run ());
     ("plan_validate", "ILP vs greedy plan selection, predicted and measured (JSON)",
       fun () -> Plan_validate.run ());

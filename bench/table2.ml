@@ -1,14 +1,16 @@
 (* Table 2: sequential performance of compiled DMLL vs the hand-optimized
    reference, with the optimizations the compiler applied.
 
-   Both sides are REAL wall-clock measurements in this process: DMLL runs
-   the fully optimized program through the closure backend (compiled once,
-   run [runs] times, median), the reference is the direct OCaml
-   implementation in Dmll_apps/Dmll_graph.  The paper's C++ gap was <=25%;
-   the closure backend additionally pays one indirect call per residual
-   IR node that does not fold into its consumer (see DESIGN.md §2 and
-   EXPERIMENTS.md), so its gap is larger, but the asymptotics — one fused
-   traversal, unboxed storage — are the same. *)
+   Every column is a REAL wall-clock measurement in this process, median
+   of [runs] after one warm-up run: DMLL runs the fully optimized program
+   through the closure backend (compiled once) and through the native
+   backend (the ocamlopt-compiled kernel, dynlinked, its inputs bound
+   once, so only the kernel body is timed), and the reference is the
+   direct OCaml implementation in Dmll_apps/Dmll_graph.  The paper's C++
+   gap was <=25%; the closure backend additionally pays one indirect call
+   per residual IR node that does not fold into its consumer (see
+   DESIGN.md §2 and EXPERIMENTS.md), so its gap is larger, but the
+   asymptotics — one fused traversal, unboxed storage — are the same. *)
 
 module V = Dmll_interp.Value
 module T = Dmll_util.Table
@@ -17,13 +19,24 @@ type row = {
   name : string;
   dataset : string;
   opts : string list;
-  native_s : float option;  (** generated OCaml compiled by ocamlopt *)
+  native_s : float option;  (** generated OCaml compiled by ocamlopt, dynlinked *)
   closure_s : float;  (** in-process closure backend *)
   ref_s : float;
   per_iter : bool;
 }
 
 let measure = Dmll_util.Timing.measure
+
+(* The native column (the ablation's too): resolve the kernel, bind the
+   inputs once, gate the value against [reference] at 1e-6, then time
+   the bound thunk with the closure column's protocol.  [None] when the
+   value does not match. *)
+let native_seconds ~runs ~(reference : V.t) ~inputs (e : Dmll_ir.Exp.exp) :
+    float option =
+  let kernel, _ = Dmll_backend.Native.Jit.resolve e in
+  let run = kernel inputs in
+  if V.approx_equal ~eps:1e-6 reference (run ()) then Some (measure ~runs run)
+  else None
 
 let bench_app ~name ~dataset ~per_iter ~(program : Dmll_ir.Exp.exp)
     ~(inputs : (string * V.t) list) ~(reference : unit -> unit) ~runs : row =
@@ -33,20 +46,16 @@ let bench_app ~name ~dataset ~per_iter ~(program : Dmll_ir.Exp.exp)
   let closure_s = measure ~runs (fun () -> exe.Dmll_backend.Closure.run ~inputs ()) in
   (* the native (ocamlopt-compiled) backend, with a correctness gate *)
   let native_s =
-    try
-      let r = Dmll_backend.Native.run ~runs:(Stdlib.max 3 runs) ~inputs compiled.Dmll.final in
-      if V.approx_equal ~eps:1e-6 reference_value r.Dmll_backend.Native.value then
-        Some r.Dmll_backend.Native.seconds
-      else begin
+    match native_seconds ~runs ~reference:reference_value ~inputs compiled.Dmll.final with
+    | Some s -> Some s
+    | None ->
         Printf.eprintf "table2: native result mismatch for %s\n" name;
         None
-      end
-    with
-    | Dmll_backend.Native.Native_error m ->
+    | exception Dmll_backend.Native.Native_error m ->
         Printf.eprintf "table2: native backend failed for %s: %s\n" name
           (String.sub m 0 (Stdlib.min 200 (String.length m)));
         None
-    | Dmll_backend.Codegen_ocaml.Unsupported m ->
+    | exception Dmll_backend.Codegen_ocaml.Unsupported m ->
         Printf.eprintf "table2: native codegen unsupported for %s: %s\n" name m;
         None
   in

@@ -1,19 +1,17 @@
-(** Native backend, stage 1: emit a standalone OCaml program from
-    optimized DMLL IR.
+(** Native backend, stage 1: emit a Dynlink kernel plugin from optimized
+    DMLL IR.
 
     This plays the role of Delite's C++ code generator played in the paper
     — and unlike {!Codegen_c} it is actually {e compiled and executed}
-    (by {!Native}, via [ocamlopt]), giving Table 2 a genuinely native DMLL
-    column.  Emission is {e typed}: IR [Float]/[Int] arrays become OCaml
-    [float array]/[int array], tuples become OCaml tuples, multiloops
-    become [for] loops with unboxed accumulators — the code a careful
-    human would write.
+    (by {!Native}, via [ocamlopt -shared] and Dynlink), giving Table 2 a
+    genuinely native DMLL column.  Emission is {e typed}: IR [Float]/[Int]
+    arrays become OCaml [float array]/[int array], tuples become OCaml
+    tuples, multiloops become [for] loops with unboxed accumulators — the
+    code a careful human would write.
 
-    The generated program reads its inputs from a marshalled file (the
-    [value] type below structurally mirrors [Dmll_interp.Value.t], so
-    [Marshal] round-trips between host and program), times [runs]
-    executions of the program body, prints the median, and marshals the
-    result back. *)
+    The plugin works on the host's {!Dmll_interp.Value.t} directly: its
+    staged kernel unwraps the named inputs once, and the thunk it returns
+    runs the body and wraps the result (the seam is {!Kernel_link}). *)
 
 open Dmll_ir
 open Exp
@@ -26,7 +24,7 @@ let unsupported fmt = Fmt.kstr (fun s -> raise (Unsupported s)) fmt
 (* Types                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* The OCaml type realizing an IR type.  Structs stay as boxed [value]
+(* The OCaml type realizing an IR type.  Structs stay boxed host values
    (they only survive in un-optimized programs). *)
 let rec oty : Types.ty -> string = function
   | Types.Unit -> "unit"
@@ -34,7 +32,7 @@ let rec oty : Types.ty -> string = function
   | Types.Int -> "int"
   | Types.Float -> "float"
   | Types.Str -> "string"
-  | Types.Struct _ -> "value"
+  | Types.Struct _ -> "V.t"
   | Types.Arr t -> Printf.sprintf "(%s) array" (oty t)
   | Types.Tup ts -> "(" ^ String.concat " * " (List.map oty ts) ^ ")"
   | Types.Map (k, v) -> Printf.sprintf "((%s), (%s)) bucket" (oty k) (oty v)
@@ -46,60 +44,60 @@ let rec dummy : Types.ty -> string = function
   | Types.Int -> "0"
   | Types.Float -> "0.0"
   | Types.Str -> "\"\""
-  | Types.Struct _ -> "Vunit"
+  | Types.Struct _ -> "V.Vunit"
   | Types.Arr _ -> "[||]"
   | Types.Tup ts -> "(" ^ String.concat ", " (List.map dummy ts) ^ ")"
   | Types.Map (k, v) ->
       Printf.sprintf "((empty_bucket ()) : ((%s), (%s)) bucket)" (oty k) (oty v)
 
-(* Unwrap a [value] into the typed representation (for inputs). *)
+(* Unwrap a host value into the typed representation (for inputs). *)
 let rec unwrap (ty : Types.ty) : string =
   match ty with
   | Types.Unit -> "(fun _ -> ())"
-  | Types.Bool -> "(function Vbool b -> b | _ -> failwith \"bool\")"
-  | Types.Int -> "(function Vint i -> i | _ -> failwith \"int\")"
-  | Types.Float -> "(function Vfloat f -> f | _ -> failwith \"float\")"
-  | Types.Str -> "(function Vstr s -> s | _ -> failwith \"str\")"
+  | Types.Bool -> "(function V.Vbool b -> b | _ -> failwith \"bool\")"
+  | Types.Int -> "(function V.Vint i -> i | _ -> failwith \"int\")"
+  | Types.Float -> "(function V.Vfloat f -> f | _ -> failwith \"float\")"
+  | Types.Str -> "(function V.Vstr s -> s | _ -> failwith \"str\")"
   | Types.Struct _ -> "(fun v -> v)"
   | Types.Arr Types.Float ->
-      "(function Varr (Fa a) -> a | Varr (Ga [||]) -> [||] | _ -> failwith \"farr\")"
+      "(function V.Varr (V.Fa a) -> a | V.Varr (V.Ga [||]) -> [||] | _ -> failwith \"farr\")"
   | Types.Arr Types.Int ->
-      "(function Varr (Ia a) -> a | Varr (Ga [||]) -> [||] | _ -> failwith \"iarr\")"
+      "(function V.Varr (V.Ia a) -> a | V.Varr (V.Ga [||]) -> [||] | _ -> failwith \"iarr\")"
   | Types.Arr t ->
       Printf.sprintf
-        "(function Varr (Ga a) -> Array.map %s a | Varr (Fa a) -> Array.map (fun f -> %s (Vfloat f)) a | Varr (Ia a) -> Array.map (fun i -> %s (Vint i)) a | _ -> failwith \"arr\")"
+        "(function V.Varr (V.Ga a) -> Array.map %s a | V.Varr (V.Fa a) -> Array.map (fun f -> %s (V.Vfloat f)) a | V.Varr (V.Ia a) -> Array.map (fun i -> %s (V.Vint i)) a | _ -> failwith \"arr\")"
         (unwrap t) (unwrap t) (unwrap t)
   | Types.Tup ts ->
       let binds =
         List.mapi (fun i t -> Printf.sprintf "%s vs.(%d)" (unwrap t) i) ts
       in
-      Printf.sprintf "(function Vtup vs -> (%s) | _ -> failwith \"tup\")"
+      Printf.sprintf "(function V.Vtup vs -> (%s) | _ -> failwith \"tup\")"
         (String.concat ", " binds)
   | Types.Map (k, v) ->
       Printf.sprintf
-        "(function Vmap m -> make_bucket (Array.map %s m.mkeys) (Array.map %s m.mvals) | _ -> failwith \"map\")"
+        "(function V.Vmap m -> make_bucket (Array.map %s m.V.mkeys) (Array.map %s m.V.mvals) | _ -> failwith \"map\")"
         (unwrap k) (unwrap v)
 
-(* Wrap the typed representation back into a [value] (for the result). *)
+(* Wrap the typed representation back into a host value (for the result). *)
 let rec wrap (ty : Types.ty) : string =
   match ty with
-  | Types.Unit -> "(fun () -> Vunit)"
-  | Types.Bool -> "(fun b -> Vbool b)"
-  | Types.Int -> "(fun i -> Vint i)"
-  | Types.Float -> "(fun f -> Vfloat f)"
-  | Types.Str -> "(fun s -> Vstr s)"
+  | Types.Unit -> "(fun () -> V.Vunit)"
+  | Types.Bool -> "(fun b -> V.Vbool b)"
+  | Types.Int -> "(fun i -> V.Vint i)"
+  | Types.Float -> "(fun f -> V.Vfloat f)"
+  | Types.Str -> "(fun s -> V.Vstr s)"
   | Types.Struct _ -> "(fun v -> v)"
-  | Types.Arr Types.Float -> "(fun a -> Varr (Fa a))"
-  | Types.Arr Types.Int -> "(fun a -> Varr (Ia a))"
-  | Types.Arr t -> Printf.sprintf "(fun a -> Varr (Ga (Array.map %s a)))" (wrap t)
+  | Types.Arr Types.Float -> "(fun a -> V.Varr (V.Fa a))"
+  | Types.Arr Types.Int -> "(fun a -> V.Varr (V.Ia a))"
+  | Types.Arr t -> Printf.sprintf "(fun a -> V.Varr (V.Ga (Array.map %s a)))" (wrap t)
   | Types.Tup ts ->
       let names = List.mapi (fun i _ -> Printf.sprintf "w%d" i) ts in
-      Printf.sprintf "(fun (%s) -> Vtup [| %s |])" (String.concat ", " names)
+      Printf.sprintf "(fun (%s) -> V.Vtup [| %s |])" (String.concat ", " names)
         (String.concat "; "
            (List.map2 (fun n t -> Printf.sprintf "%s %s" (wrap t) n) names ts))
   | Types.Map (k, v) ->
       Printf.sprintf
-        "(fun b -> Vmap { mkeys = Array.map %s b.bkeys; mvals = Array.map %s b.bvals })" (wrap k)
+        "(fun b -> V.Vmap { V.mkeys = Array.map %s b.bkeys; mvals = Array.map %s b.bvals })" (wrap k)
         (wrap v)
 
 (* ------------------------------------------------------------------ *)
@@ -396,9 +394,18 @@ and prepare_gen em ~(n : string) ~(reg : string option) (g : gen) :
               end),
             fun () -> Printf.sprintf "%s.(0)" acc )
       | _ ->
-          (* generic (int / tuple / vector) accumulator in a ref *)
+          (* generic (int / tuple / vector) accumulator in a ref; an
+             elementwise float-add vector accumulates in place, so it
+             starts from a copy of its init (which may be an input) *)
+          let in_place =
+            match vty with
+            | Types.Arr Types.Float -> vec_fadd_shape ~a ~b rfun
+            | _ -> false
+          in
           let acc = fresh em "acc" in
-          line em "let %s : (%s) ref = ref (%s) in" acc (oty vty) (emit em init);
+          line em "let %s : (%s) ref = ref (%s) in" acc (oty vty)
+            (if in_place then Printf.sprintf "Array.copy %s" (emit em init)
+             else emit em init);
           ( (fun () ->
               (match cond with
               | None -> ()
@@ -437,13 +444,7 @@ and prepare_gen em ~(n : string) ~(reg : string option) (g : gen) :
               | Some _ ->
                   em.indent <- em.indent - 1;
                   line em "end;"),
-            fun () ->
-              if
-                match vty with
-                | Types.Arr Types.Float -> vec_fadd_shape ~a ~b rfun
-                | _ -> false
-              then Printf.sprintf "(Array.copy !%s)" acc
-              else Printf.sprintf "(!%s)" acc ))
+            fun () -> Printf.sprintf "(!%s)" acc ))
   | BucketCollect { value; _ } ->
       let r = match reg with Some r -> r | None -> assert false in
       let vty = ty_of_exp value in
@@ -555,30 +556,15 @@ and strip_lets e =
 (* Program assembly                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Shared runtime support of both emission modes (standalone program and
-   Dynlink kernel plugin): the [value] mirror type and the bucket / buf
-   helpers.  No I/O — the modes differ only in how inputs arrive and
-   results leave. *)
+(* Runtime support of the kernel plugin: host-value access and the
+   bucket / buf helpers.  No I/O and no top-level mutable state. *)
 let runtime_prelude =
   {|(* Generated by the DMLL native (OCaml) backend. Do not edit. *)
-(* The [value] type mirrors Dmll_interp.Value.t structurally, so Marshal
-   round-trips between the host compiler and this program. *)
-type value =
-  | Vunit
-  | Vbool of bool
-  | Vint of int
-  | Vfloat of float
-  | Vstr of string
-  | Varr of varr
-  | Vtup of value array
-  | Vstruct of (string * value) array
-  | Vmap of vmap
-and varr = Fa of float array | Ia of int array | Ga of value array
-and vmap = { mkeys : value array; mvals : value array }
+module V = Dmll_interp.Value
 
 let vfield v name =
   match v with
-  | Vstruct fs ->
+  | V.Vstruct fs ->
       let rec go i =
         if i >= Array.length fs then failwith ("no field " ^ name)
         else
@@ -615,19 +601,6 @@ let buf_push b x =
 let buf_contents b = Array.sub b.ba 0 b.bn
 |}
 
-let prelude =
-  runtime_prelude
-  ^ {|
-let raw_inputs : (string * value) list =
-  let ic = open_in_bin Sys.argv.(1) in
-  let v = (Marshal.from_channel ic : (string * value) list) in
-  close_in ic;
-  v
-
-let find_input name =
-  try List.assoc name raw_inputs with Not_found -> failwith ("missing input " ^ name)
-|}
-
 (* The named inputs [e] reads, deduplicated. *)
 let inputs_of (e : exp) : (string * Types.ty) list =
   let inputs = Hashtbl.create 8 in
@@ -643,49 +616,12 @@ let inputs_of (e : exp) : (string * Types.ty) list =
        () e);
   List.rev_map (fun name -> (name, Hashtbl.find inputs name)) !order
 
-(** Emit the complete standalone program for [e]. *)
-let emit_program (e : exp) : string =
-  let ty = ty_of_exp e in
-  let em = new_em () in
-  let result = emit em e in
-  let body = Buffer.contents em.buf in
-  (* typed input bindings *)
-  let input_binds =
-    List.map
-      (fun (name, t) ->
-        Printf.sprintf "let %s : %s = %s (find_input %S)\n" (mangle_input name)
-          (oty t) (unwrap t) name)
-      (inputs_of e)
-  in
-  String.concat ""
-    ([ prelude; "\n" ]
-    @ input_binds
-    @ [ Printf.sprintf "\nlet program () : %s =\n" (oty ty);
-        body;
-        Printf.sprintf "  %s\n\n" result;
-        {|let () =
-  let runs = int_of_string Sys.argv.(2) in
-  ignore (program ());
-  let times =
-    Array.init runs (fun _ ->
-        let t0 = Unix.gettimeofday () in
-        ignore (Sys.opaque_identity (program ()));
-        Unix.gettimeofday () -. t0)
-  in
-  Array.sort compare times;
-  Printf.printf "TIME %.9f\n" times.(runs / 2);
-  let oc = open_out_bin Sys.argv.(3) in
-|};
-        Printf.sprintf "  Marshal.to_channel oc (%s (program ())) [];\n" (wrap ty);
-        "  close_out oc\n";
-      ])
-
-(** Emit a Dynlink kernel plugin for [e] (DESIGN.md §17): the same typed
-    program body as {!emit_program}, but wrapped as a
-    [string -> string] closure (marshalled inputs to marshalled result)
-    whose module initializer hands it to the host through
-    [Dmll_backend.Kernel_link.register] under [key].  No file I/O, no
-    timing main — the host owns both. *)
+(** Emit a Dynlink kernel plugin for [e] (DESIGN.md §17): a staged
+    kernel whose module initializer hands it to the host through
+    [Dmll_backend.Kernel_link.register] under [key].  Applying the
+    kernel to the host's inputs unwraps each one it reads, once; the
+    thunk it returns runs the typed program body and wraps the result.
+    No I/O and no timing — the host owns both. *)
 let emit_kernel ~(key : string) (e : exp) : string =
   let ty = ty_of_exp e in
   let em = new_em () in
@@ -701,20 +637,16 @@ let emit_kernel ~(key : string) (e : exp) : string =
   in
   String.concat ""
     ([ runtime_prelude;
-       "\nlet kernel (blob_ : string) : string =\n";
-       "  let raw_inputs : (string * value) list = Marshal.from_string blob_ 0 in\n";
+       "\nlet kernel (inputs_ : (string * V.t) list) : unit -> V.t =\n";
        "  let find_input name =\n";
-       "    try List.assoc name raw_inputs\n";
+       "    try List.assoc name inputs_\n";
        "    with Not_found -> failwith (\"missing input \" ^ name)\n";
        "  in\n";
-       "  ignore (find_input : string -> value);\n";
      ]
     @ input_binds
-    @ [ Printf.sprintf "  let program () : %s =\n" (oty ty);
+    @ [ "  fun () ->\n";
         body;
-        Printf.sprintf "    %s\n" result;
-        "  in\n";
-        Printf.sprintf "  Marshal.to_string (%s (program ())) []\n" (wrap ty);
+        Printf.sprintf "    %s (%s : %s)\n" (wrap ty) result (oty ty);
         Printf.sprintf "\nlet () = Dmll_backend.Kernel_link.register ~key:%S kernel\n"
           key;
       ])

@@ -19,9 +19,8 @@
       a checksum mismatch (storage rot, truncation) rejects the entry
       and forces a recompile.
 
-    The cache stores {e artifacts}, not values: a [`Cmxs] shared object
-    for the Dynlink JIT path, or a [`Exe] standalone program for the
-    child-process fallback. *)
+    The cache stores {e artifacts}, not values: the [.cmxs] shared
+    object of a Dynlink kernel plugin. *)
 
 (* ------------------------------------------------------------------ *)
 (* Canonical IR hash                                                   *)
@@ -195,7 +194,7 @@ let canonical_blob (e : Exp.exp) : string =
 (* Bumping this invalidates every cached kernel — do so whenever the
    generated code's shape changes ([Codegen_ocaml], the kernel protocol,
    the META format). *)
-let codegen_version = 3
+let codegen_version = 4
 
 (** The cache key for [e] compiled by [backend_id] under [caps_fp]. *)
 let key ~(backend_id : string) ~(caps_fp : string) (e : Exp.exp) : string =
@@ -214,17 +213,8 @@ let module_name_of_key (k : string) : string =
 (* Entries and the store                                               *)
 (* ------------------------------------------------------------------ *)
 
-type kind = Cmxs | Exe
-
-let kind_to_string = function Cmxs -> "cmxs" | Exe -> "exe"
-let kind_of_string = function
-  | "cmxs" -> Some Cmxs
-  | "exe" -> Some Exe
-  | _ -> None
-
 type entry = {
   key : string;
-  kind : kind;
   dir : string;  (** the committed entry directory *)
   artifact : string;  (** absolute path of the compiled artifact *)
   source_file : string;  (** the generated source, for inspection *)
@@ -238,7 +228,7 @@ type t = {
   mem : (string, entry * int ref) Hashtbl.t;
 }
 
-let meta_magic = "DMLLKERN1"
+let meta_magic = "DMLLKERN2"
 
 let default_root () =
   Filename.concat (Filename.get_temp_dir_name ()) "dmll-kernel-cache"
@@ -312,23 +302,23 @@ let fsync_dir dir =
 let entry_dir t k = Filename.concat t.root k
 let meta_path dir = Filename.concat dir "META"
 
-(* META: line-oriented text — magic, kind, artifact basename, artifact
+(* META: line-oriented text — magic, artifact basename, artifact
    checksum, source basename.  Anything unparsable or mismatched is a
    corrupt entry. *)
-let write_meta ~dir ~(kind : kind) ~(artifact : string) ~(source : string) : unit =
+let write_meta ~dir ~(artifact : string) ~(source : string) : unit =
   let sum = fnv1a (read_all (Filename.concat dir artifact)) in
   let payload =
-    Printf.sprintf "%s\nkind=%s\nartifact=%s\nsum=%016Lx\nsource=%s\n" meta_magic
-      (kind_to_string kind) artifact sum source
+    Printf.sprintf "%s\nartifact=%s\nsum=%016Lx\nsource=%s\n" meta_magic
+      artifact sum source
   in
   write_file_atomic ~path:(meta_path dir) payload
 
-let read_meta ~dir : (kind * string * string, string) result =
+let read_meta ~dir : (string * string, string) result =
   match read_all (meta_path dir) with
   | exception _ -> Error "missing META"
   | raw -> (
       match String.split_on_char '\n' (String.trim raw) with
-      | [ magic; kind_l; art_l; sum_l; src_l ]
+      | [ magic; art_l; sum_l; src_l ]
         when String.equal magic meta_magic -> (
           let field prefix l =
             let p = prefix ^ "=" in
@@ -337,24 +327,17 @@ let read_meta ~dir : (kind * string * string, string) result =
             then Some (String.sub l (String.length p) (String.length l - String.length p))
             else None
           in
-          match
-            (field "kind" kind_l, field "artifact" art_l, field "sum" sum_l,
-             field "source" src_l)
-          with
-          | Some kind_s, Some artifact, Some sum_s, Some source -> (
-              match kind_of_string kind_s with
-              | None -> Error ("unknown kind " ^ kind_s)
-              | Some kind -> (
-                  let art_path = Filename.concat dir artifact in
-                  match read_all art_path with
-                  | exception _ -> Error "missing artifact"
-                  | bytes ->
-                      let expect =
-                        try Scanf.sscanf sum_s "%Lx" Fun.id with _ -> -1L
-                      in
-                      if Int64.equal (fnv1a bytes) expect then
-                        Ok (kind, artifact, source)
-                      else Error "artifact checksum mismatch"))
+          match (field "artifact" art_l, field "sum" sum_l, field "source" src_l) with
+          | Some artifact, Some sum_s, Some source -> (
+              let art_path = Filename.concat dir artifact in
+              match read_all art_path with
+              | exception _ -> Error "missing artifact"
+              | bytes ->
+                  let expect =
+                    try Scanf.sscanf sum_s "%Lx" Fun.id with _ -> -1L
+                  in
+                  if Int64.equal (fnv1a bytes) expect then Ok (artifact, source)
+                  else Error "artifact checksum mismatch")
           | _ -> Error "malformed META")
       | _ -> Error "malformed META")
 
@@ -401,10 +384,9 @@ let find (t : t) (k : string) : (entry * tier) option =
             | Error _ ->
                 rm_rf dir;
                 None
-            | Ok (kind, artifact, source) ->
+            | Ok (artifact, source) ->
                 let e =
                   { key = k;
-                    kind;
                     dir;
                     artifact = Filename.concat dir artifact;
                     source_file = Filename.concat dir source;
@@ -423,14 +405,12 @@ let find (t : t) (k : string) : (entry * tier) option =
 let tmp_counter = ref 0
 
 (** Compile-and-commit: write [source] into a private build directory
-    (as [source_name] — for [`Cmxs] entries this fixes the plugin's
-    compilation-unit name), run [build] there (producing [artifact], a
+    (as [source_name] — this fixes the plugin's compilation-unit name), run [build] there (producing [artifact], a
     basename, inside it), then commit the directory under [key] with
     its META record.  The directory rename is the commit point; losing
     a commit race to a concurrent process simply adopts the winner's
     entry. *)
-let store (t : t) ~(key : string) ~(kind : kind)
-    ?(source_name = "kernel.ml") ~(source : string) ~(artifact : string)
+let store (t : t) ~(key : string) ?(source_name = "kernel.ml") ~(source : string) ~(artifact : string)
     ~(build : dir:string -> (unit, string) result) () : (entry, string) result =
   incr tmp_counter;
   let build_dir =
@@ -446,7 +426,7 @@ let store (t : t) ~(key : string) ~(kind : kind)
         if not (Sys.file_exists (Filename.concat build_dir artifact)) then
           Error (Printf.sprintf "build produced no %s" artifact)
         else begin
-          write_meta ~dir:build_dir ~kind ~artifact ~source:source_name;
+          write_meta ~dir:build_dir ~artifact ~source:source_name;
           let final = entry_dir t key in
           (match Unix.rename build_dir final with
           | () -> ()
@@ -461,10 +441,9 @@ let store (t : t) ~(key : string) ~(kind : kind)
           fsync_dir t.root;
           match read_meta ~dir:final with
           | Error m -> Error ("commit verification failed: " ^ m)
-          | Ok (kind, artifact, source) ->
+          | Ok (artifact, source) ->
               let e =
                 { key;
-                  kind;
                   dir = final;
                   artifact = Filename.concat final artifact;
                   source_file = Filename.concat final source;

@@ -5,18 +5,22 @@
     [Dynlink.loadfile_private] — loading only runs the module
     initializers.  This module is the narrow rendezvous point both sides
     agree on: the plugin's initializer calls {!register} with its cache
-    key and kernel closure, and the host {!take}s it right after the
+    key and kernel closure, and the host {!find}s it right after the
     load returns.
 
-    The kernel interface is deliberately untyped at the seam —
-    [string -> string], marshalled inputs to marshalled result — so a
-    plugin needs {e only} this module's interface to compile, keeping
-    the compiled artifact's Dynlink import surface (and therefore its
-    cache stability across host rebuilds) as small as possible. *)
+    The seam is typed on the host's {!Dmll_interp.Value.t}: a plugin
+    compiles against this module's and [Value]'s interfaces, and the
+    host hands it its values without a copy.  A change to [value.ml]'s
+    interface therefore changes the CRC a cached plugin was built
+    against; loading such a plugin fails, and [Native.Jit] evicts and
+    rebuilds it like any other stale artifact. *)
 
-type kernel = string -> string
-(** Marshalled [(string * value) list] inputs to a marshalled [value]
-    result; the [value] type is structurally [Dmll_interp.Value.t]. *)
+type kernel = (string * Dmll_interp.Value.t) list -> unit -> Dmll_interp.Value.t
+(** A staged kernel.  Applying it to the named inputs binds them: each
+    is unwrapped once into its typed representation (a float array
+    stays the caller's array).  The returned thunk runs the body and
+    wraps its result; it never writes to the inputs, so it can be run
+    again on the same binding. *)
 
 let table : (string, kernel) Hashtbl.t = Hashtbl.create 16
 let mutex = Mutex.create ()

@@ -324,7 +324,7 @@ module Native_backend : B.S = struct
   let id = "native"
 
   let describe =
-    "ocamlopt-compiled kernels: Dynlink JIT or child process, kernel-cached"
+    "ocamlopt-compiled kernels, dynlinked in process, kernel-cached"
 
   let capabilities =
     { B.wall_clock = true;
@@ -343,14 +343,15 @@ module Native_backend : B.S = struct
 
   let emit p e =
     match p with
-    | Native_p _ -> Some (Bk.Codegen_ocaml.emit_program e)
+    | Native_p _ ->
+        Some (Bk.Codegen_ocaml.emit_kernel ~key:(Bk.Native.cache_key e) e)
     | _ -> B.wrong_payload id
 
   let execute p (ctx : B.ctx) e =
     match p with
     | Native_p cache ->
         let r =
-          Bk.Native.run_best ~cache ~metrics:ctx.B.metrics ?tracer:ctx.B.tracer
+          Bk.Native.Jit.run ~cache ~metrics:ctx.B.metrics ?tracer:ctx.B.tracer
             ~inputs:ctx.B.inputs e
         in
         wall ~metrics:ctx.B.metrics r.Bk.Native.value r.Bk.Native.seconds

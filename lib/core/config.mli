@@ -34,9 +34,9 @@ type target =
       (** TCP-attached worker processes, local or multi-host
           (DESIGN.md §14.2) *)
   | Native
-      (** generated OCaml compiled by [ocamlopt]: in-process Dynlink JIT
-          when available, child process otherwise, both behind the
-          content-addressed kernel cache (DESIGN.md §17) *)
+      (** generated OCaml compiled by [ocamlopt] and dynlinked into this
+          process, behind the content-addressed kernel cache
+          (DESIGN.md §17) *)
 
 (** How cluster compiles choose among interacting fusion / rewrite /
     partition-layout decisions (re-export of

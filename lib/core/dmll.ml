@@ -36,9 +36,9 @@ type target = Config.target =
       (** TCP-attached worker processes, local or multi-host
           (DESIGN.md §14.2) *)
   | Native
-      (** generated OCaml compiled by [ocamlopt]: in-process Dynlink JIT
-          when available, child process otherwise, both behind the
-          content-addressed kernel cache (DESIGN.md §17) *)
+      (** generated OCaml compiled by [ocamlopt] and dynlinked into this
+          process, behind the content-addressed kernel cache
+          (DESIGN.md §17) *)
 
 module Backends = Backends
 

@@ -1,6 +1,7 @@
-(* Tests of the native backend (generated OCaml compiled by ocamlopt):
-   every application's generated program must compute exactly what the
-   reference interpreter computes.  Skipped when the toolchain is absent. *)
+(* Tests of the native backend (generated OCaml compiled by ocamlopt and
+   dynlinked in process): every application's kernel must compute exactly
+   what the reference interpreter computes.  Skipped when the JIT is
+   unavailable. *)
 
 open Dmll_interp
 module Backend = Dmll_backend
@@ -8,14 +9,14 @@ module Backend = Dmll_backend
 let check = Alcotest.check
 let tbool = Alcotest.bool
 
-let available = Lazy.force Backend.Native.available
+let available = Lazy.force Backend.Native.Jit.available
 
 let native_matches ?(eps = 1e-9) name program inputs =
   if not available then ()
   else begin
     let opt = (Dmll.compile_with Dmll.Config.default program).Dmll.final in
     let expected = Interp.run ~inputs program in
-    let r = Backend.Native.run ~runs:1 ~inputs opt in
+    let r = Backend.Native.Jit.run ~inputs opt in
     check tbool
       (name ^ ": native = interpreter")
       true
@@ -25,7 +26,7 @@ let native_matches ?(eps = 1e-9) name program inputs =
 
 let test_toolchain () =
   if not available then
-    Printf.printf "ocamlfind/ocamlopt unavailable; native tests skipped\n"
+    Printf.printf "native JIT unavailable; native tests skipped\n"
 
 let rows = 200
 let cols = 6
@@ -56,7 +57,7 @@ let test_q1 () =
     let opt = (Dmll.compile_with Dmll.Config.default program).Dmll.final in
     let inputs = Dmll_apps.Tpch_q1.soa_inputs t in
     let expected = Backend.Closure.run ~inputs opt in
-    let r = Backend.Native.run ~runs:1 ~inputs opt in
+    let r = Backend.Native.Jit.run ~inputs opt in
     check tbool "q1 native = closure" true
       (Value.approx_equal ~eps:1e-9 expected r.Backend.Native.value)
   end
@@ -68,7 +69,7 @@ let test_gene () =
     let opt = (Dmll.compile_with Dmll.Config.default program).Dmll.final in
     let inputs = Dmll_apps.Gene.soa_inputs g in
     let expected = Backend.Closure.run ~inputs opt in
-    let r = Backend.Native.run ~runs:1 ~inputs opt in
+    let r = Backend.Native.Jit.run ~inputs opt in
     check tbool "gene native = closure" true
       (Value.approx_equal ~eps:1e-9 expected r.Backend.Native.value)
   end

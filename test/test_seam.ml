@@ -5,11 +5,14 @@
    (alpha-invariant keys, memory/disk tiers, atomic commit, corrupt and
    torn entries rejected and recompiled), cache hit/miss determinism on
    the twelve apps (the second execution of an identical plan does zero
-   codegen and zero compilation, and its value is bit-identical), a
-   native execute calling its kernel exactly once and reporting the
-   wall-clock of the call (kernel build included) as its seconds, and a
-   QCheck property that the Dynlink JIT and the child-process fallback
-   compute the same value on random programs. *)
+   codegen and zero compilation, its value is bit-identical, and no
+   execute changes its inputs), an in-place vector reduce leaving its
+   init input unchanged, a committed artifact that is no
+   loadable plugin evicted and rebuilt, a native execute binding and
+   running its staged kernel exactly once and reporting the wall-clock
+   of the call (kernel build included) as its seconds, and a QCheck
+   property that the Dynlink JIT computes the interpreter's value on
+   random programs. *)
 
 open Dmll_ir
 module Backend = Dmll_backend
@@ -214,7 +217,7 @@ let test_cache_key () =
 (* ---------------------- cache tiers and commit ------------------------ *)
 
 let store_payload cache ~key payload =
-  Cache.store cache ~key ~kind:Cache.Exe ~source:"(* generated *)"
+  Cache.store cache ~key ~source:"(* generated *)"
     ~artifact:"a.bin"
     ~build:(fun ~dir ->
       write_file (Filename.concat dir "a.bin") payload;
@@ -298,7 +301,7 @@ let test_cache_corruption () =
     (Cache.find cache "gone" = None);
   (* a failing build never commits *)
   (match
-     Cache.store cache ~key:"fail" ~kind:Cache.Exe ~source:"s" ~artifact:"a"
+     Cache.store cache ~key:"fail" ~source:"s" ~artifact:"a"
        ~build:(fun ~dir:_ -> Error "simulated compiler failure") ()
    with
   | Ok _ -> Alcotest.fail "failed build must not commit"
@@ -373,19 +376,32 @@ let apps : (string * Exp.exp * (string * V.t) list) list =
 
 (* The second execution of an identical plan must do zero codegen and
    zero compilation (kernel_cache_hit, no kernel_cache_miss) and produce
-   a bit-identical value.  Apps the OCaml codegen cannot express yet are
-   skipped — but most must compile, or the test is vacuous. *)
+   a bit-identical value.  The kernel reads the caller's arrays without
+   a copy, so neither execute may change them.  Apps the OCaml codegen
+   cannot express yet are skipped — but most must compile, or the test
+   is vacuous. *)
 let test_twelve_app_determinism () =
-  if not (Lazy.force Native.available) then
-    Printf.printf "ocamlfind/ocamlopt unavailable; determinism test skipped\n"
+  if not (Lazy.force Native.Jit.available) then
+    Printf.printf "native JIT unavailable; determinism test skipped\n"
   else begin
     let cache = Cache.create ~root:(fresh_root ()) () in
     let compiled = ref 0 in
     List.iter
       (fun (name, program, inputs) ->
         let opt = (Dmll.compile_with Dmll.Config.default program).Dmll.final in
+        let copy : (string * V.t) list =
+          Marshal.from_string (Marshal.to_string inputs []) 0
+        in
+        let inputs_unchanged leg =
+          check tbool
+            (Printf.sprintf "%s: %s execute leaves its inputs unchanged" name leg)
+            true
+            (List.for_all2
+               (fun (n, v) (n', v') -> String.equal n n' && V.equal v v')
+               copy inputs)
+        in
         let m1 = Metrics.create () in
-        match Native.run_best ~cache ~metrics:m1 ~inputs opt with
+        match Native.Jit.run ~cache ~metrics:m1 ~inputs opt with
         | exception Backend.Codegen_ocaml.Unsupported _ -> ()
         | r1 ->
             incr compiled;
@@ -393,8 +409,10 @@ let test_twelve_app_determinism () =
               (Metrics.count m1 "kernel_cache_miss");
             check tint (name ^ ": cold run has no hit") 0
               (Metrics.count m1 "kernel_cache_hit");
+            inputs_unchanged "cold";
             let m2 = Metrics.create () in
-            let r2 = Native.run_best ~cache ~metrics:m2 ~inputs opt in
+            let r2 = Native.Jit.run ~cache ~metrics:m2 ~inputs opt in
+            inputs_unchanged "warm";
             check tint (name ^ ": warm run hits the cache") 1
               (Metrics.count m2 "kernel_cache_hit");
             check tint (name ^ ": warm run does zero compilation") 0
@@ -415,44 +433,39 @@ let test_twelve_app_determinism () =
       (!compiled >= 8)
   end
 
-(* ----------------- corrupt entry recompiles end-to-end ---------------- *)
+(* ---------------------- native kernels in process --------------------- *)
 
-let test_native_corrupt_recompile () =
-  if not (Lazy.force Native.available) then ()
+(* An elementwise float-add vector reduce accumulates in place; with its
+   init an input the kernel reads without a copy, it must start from a
+   copy of it rather than write into the caller's array. *)
+let test_reduce_init_unchanged () =
+  if not (Lazy.force Native.Jit.available) then
+    Printf.printf "native JIT unavailable; reduce-init test skipped\n"
   else begin
-    let cache = Cache.create ~root:(fresh_root ()) () in
-    let program = Dmll_apps.Kmeans.program ~rows:16 ~cols:3 ~k:2 () in
-    let data = Dmll_data.Gaussian.generate ~rows:16 ~cols:3 ~classes:2 () in
-    let inputs =
-      Dmll_apps.Kmeans.inputs data
-        ~centroids:(Dmll_data.Gaussian.random_centroids ~k:2 data)
+    let open Builder in
+    let rows = 4 and cols = 3 in
+    let farr = Types.Arr Types.Float in
+    let z = Exp.Input ("z", farr, Exp.Local)
+    and x = Exp.Input ("x", farr, Exp.Local) in
+    let program =
+      reduce ~size:(Exp.int_ rows) ~ty:farr ~init:z
+        (fun i ->
+          collect ~size:(Exp.int_ cols) (fun j ->
+              read x ((i *! Exp.int_ cols) +! j)))
+        vec_fadd
     in
-    let opt = (Dmll.compile_with Dmll.Config.default program).Dmll.final in
-    let m1 = Metrics.create () in
-    (* force the child-process path: it shares the cache discipline and
-       keeps this test independent of Dynlink availability *)
-    let r1 = Native.run ~cache ~metrics:m1 ~runs:1 ~inputs opt in
-    check tint "first run compiles" 1 (Metrics.count m1 "kernel_cache_miss");
-    let key = Native.cache_key opt ^ "-exe" in
-    (match Cache.find cache key with
-    | None -> Alcotest.fail "compiled kernel not committed under its key"
-    | Some (e, _) ->
-        (* storage rot on the committed executable *)
-        write_file e.Cache.artifact "not an executable";
-        Cache.drop_memory cache;
-        check tbool "rotten kernel rejected" true (Cache.find cache key = None);
-        check tbool "rotten entry deleted" false (Sys.file_exists e.Cache.dir));
-    let m2 = Metrics.create () in
-    let r2 = Native.run ~cache ~metrics:m2 ~runs:1 ~inputs opt in
-    check tint "rejected entry forces a recompile" 1
-      (Metrics.count m2 "kernel_cache_miss");
-    check tbool "recompiled value identical" true
-      (String.equal
-         (Marshal.to_string r1.Native.value [])
-         (Marshal.to_string r2.Native.value []))
+    let z0 = [| 1.0; 2.0; 3.0 |] in
+    let inputs =
+      [ ("z", V.of_float_array (Array.copy z0));
+        ("x", V.of_float_array (Array.init (rows * cols) float_of_int)) ]
+    in
+    let cache = Cache.create ~root:(fresh_root ()) () in
+    let r = Native.Jit.run ~cache ~inputs program in
+    check tbool "value matches the interpreter" true
+      (V.equal (Interp.run ~inputs program) r.Native.value);
+    check tbool "the init input is unchanged" true
+      (V.equal (V.of_float_array z0) (List.assoc "z" inputs))
   end
-
-(* ---------------- one kernel call per native execute ----------------- *)
 
 let native_cfg root =
   Dmll.Config.(default |> with_target Dmll.Native |> with_kernel_cache_dir root)
@@ -465,9 +478,49 @@ let small_kmeans ~rows ~cols ~k =
     Dmll_apps.Kmeans.inputs data
       ~centroids:(Dmll_data.Gaussian.random_centroids ~k data) )
 
-(* A native execute calls its kernel exactly once: no warm-up and no
-   repeated timed calls.  A counting wrapper is registered under the
-   kernel's key, where the next execute finds it already linked. *)
+(* A committed entry whose artifact passes its checksum but is no
+   loadable plugin (say, one built against an older [Value] interface)
+   is evicted and rebuilt: one miss, and the rebuilt kernel computes the
+   interpreter's value. *)
+let test_native_corrupt_recompile () =
+  if not (Lazy.force Native.Jit.available) then
+    Printf.printf "native JIT unavailable; corrupt-kernel test skipped\n"
+  else begin
+    let cache = Cache.create ~root:(fresh_root ()) () in
+    let program, inputs = small_kmeans ~rows:16 ~cols:3 ~k:2 in
+    let opt = (Dmll.compile_with Dmll.Config.default program).Dmll.final in
+    let key = Native.cache_key opt in
+    check tbool "kernel not linked yet" true
+      (Option.is_none (Backend.Kernel_link.find key));
+    ignore
+      (entry_of
+         (Cache.store cache ~key ~source:"(* not a kernel *)"
+            ~artifact:"junk.cmxs"
+            ~build:(fun ~dir ->
+              write_file (Filename.concat dir "junk.cmxs") "not a plugin";
+              Ok ())
+            ()));
+    let m = Metrics.create () in
+    let kernel, src = Native.Jit.kernel_for ~cache ~metrics:m opt in
+    check tbool "unloadable entry rebuilt" true (src = Native.Jit.Compiled);
+    check tint "rebuild records one miss" 1 (Metrics.count m "kernel_cache_miss");
+    check tint "and no hit" 0 (Metrics.count m "kernel_cache_hit");
+    (match Cache.find cache key with
+    | Some (e, _) ->
+        check tbool "the junk artifact is gone" false
+          (String.equal (Filename.basename e.Cache.artifact) "junk.cmxs")
+    | None -> Alcotest.fail "rebuilt kernel not committed under its key");
+    let value : V.t =
+      Marshal.from_string (kernel (Marshal.to_string inputs [])) 0
+    in
+    check tbool "rebuilt value matches the interpreter" true
+      (V.approx_equal ~eps:1e-9 (Interp.run ~inputs opt) value)
+  end
+
+(* A native execute binds its staged kernel once and runs the thunk
+   once: no warm-up and no repeated timed calls.  A counting wrapper is
+   registered under the kernel's key, where the next execute finds it
+   already linked. *)
 let test_one_kernel_call () =
   if not (Lazy.force Native.Jit.available) then
     Printf.printf "native JIT unavailable; kernel-call test skipped\n"
@@ -482,15 +535,19 @@ let test_one_kernel_call () =
       | Some k -> k
       | None -> Alcotest.fail "the first execute linked no kernel"
     in
-    let calls = ref 0 in
-    Backend.Kernel_link.register ~key (fun blob ->
-        incr calls;
-        linked blob);
+    let binds = ref 0 and runs = ref 0 in
+    Backend.Kernel_link.register ~key (fun inputs ->
+        incr binds;
+        let run = linked inputs in
+        fun () ->
+          incr runs;
+          run ());
     Fun.protect
       ~finally:(fun () -> Backend.Kernel_link.register ~key linked)
       (fun () ->
         let second = Dmll.execute cfg c ~inputs in
-        check tint "one kernel call per execute" 1 !calls;
+        check tint "one bind per execute" 1 !binds;
+        check tint "one run per execute" 1 !runs;
         check tbool "value equal to the first execute's" true
           (V.equal first.Dmll.value second.Dmll.value))
   end
@@ -498,8 +555,8 @@ let test_one_kernel_call () =
 (* A native execute's [seconds] is the wall-clock the caller waited, so a
    cold execute's covers its kernel build; a warm one builds nothing. *)
 let test_seconds_cover_build () =
-  if not (Lazy.force Native.available) then
-    Printf.printf "ocamlfind/ocamlopt unavailable; seconds test skipped\n"
+  if not (Lazy.force Native.Jit.available) then
+    Printf.printf "native JIT unavailable; seconds test skipped\n"
   else begin
     let cfg = native_cfg (fresh_root ()) in
     let program, inputs = small_kmeans ~rows:24 ~cols:3 ~k:2 in
@@ -533,36 +590,30 @@ let test_seconds_cover_build () =
       (Metrics.count warm.Dmll.metrics "kernel_cache_hit")
   end
 
-(* ------------------- QCheck: Dynlink = child process ------------------ *)
+(* ------------------- QCheck: Dynlink = interpreter -------------------- *)
 
-(* Both paths compile the same generated source, so their values must be
-   exactly equal — and both must agree with the interpreter.  Each leg
-   compiles with ocamlopt, so the count trades coverage against suite
-   wall-time; DMLL_SEAM_QCHECK overrides it. *)
+(* The kernel must agree with the interpreter on random programs.  Each
+   program is built with ocamlopt, so the count trades coverage against
+   suite wall-time; DMLL_SEAM_QCHECK overrides it. *)
 let qcheck_count =
   match Sys.getenv_opt "DMLL_SEAM_QCHECK" with
   | Some n -> ( match int_of_string_opt n with Some n -> n | None -> 100)
   | None -> 100
 
-let prop_jit_equals_child =
+let prop_jit_equals_interp =
   let cache = Cache.create ~root:(fresh_root ()) () in
   QCheck.Test.make ~count:qcheck_count
-    ~name:"Dynlink JIT = child process on random programs"
+    ~name:"Dynlink JIT = interpreter on random programs"
     Dmll_testgen.Gen_ir.arbitrary_program (fun e ->
       if not (Lazy.force Native.Jit.available) then QCheck.assume_fail ()
       else
         match Interp.run e with
         | exception Interp.Runtime_error _ -> QCheck.assume_fail ()
         | expected -> (
-            match
-              ( Native.Jit.run ~cache ~inputs:[] e,
-                Native.run ~cache ~runs:1 ~inputs:[] e )
-            with
+            match Native.Jit.run ~cache ~inputs:[] e with
             | exception Backend.Codegen_ocaml.Unsupported _ ->
                 QCheck.assume_fail ()
-            | jit, child ->
-                V.equal jit.Native.value child.Native.value
-                && V.approx_equal ~eps:1e-9 expected jit.Native.value))
+            | jit -> V.approx_equal ~eps:1e-9 expected jit.Native.value))
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -583,12 +634,14 @@ let () =
       ( "native",
         [ Alcotest.test_case "twelve-app determinism" `Slow
             test_twelve_app_determinism;
+          Alcotest.test_case "reduce init input unchanged" `Slow
+            test_reduce_init_unchanged;
           Alcotest.test_case "corrupt kernel recompiles" `Slow
             test_native_corrupt_recompile;
           Alcotest.test_case "one kernel call per execute" `Slow
             test_one_kernel_call;
           Alcotest.test_case "seconds covers the build" `Slow
             test_seconds_cover_build;
-          qcheck prop_jit_equals_child;
+          qcheck prop_jit_equals_interp;
         ] );
     ]
